@@ -227,6 +227,9 @@ def cmd_sweep(runspec_json, out_csv, adversarial, allow_unconverged):
 
 
 def _compare_sweeps(old: dict, new: dict, tol: float) -> list[str]:
+    """Rows must agree in error flag, node count and |I| (relative tol); the
+    fit in rho, logC and r2 within tol * max(1, |value|), since a flat
+    sweep's rho is rounding noise around 0."""
     diffs = []
     if len(old["rows"]) != len(new["rows"]):
         return [f"row count {len(old['rows'])} != {len(new['rows'])}"]
@@ -234,9 +237,18 @@ def _compare_sweeps(old: dict, new: dict, tol: float) -> list[str]:
         if a.get("error") != b.get("error"):
             diffs.append(f"row {i}: error flag {a.get('error')} != {b.get('error')}")
             continue
+        if a["nodes"] != b["nodes"]:
+            diffs.append(f"row {i}: nodes {a['nodes']} != {b['nodes']}")
         denom = max(abs(a["abs"]), abs(b["abs"]), 1e-300)
         if abs(a["abs"] - b["abs"]) > tol * denom:
             diffs.append(f"row {i}: |I| {a['abs']} vs {b['abs']} (rel tol {tol})")
+    fa, fb = old["fit"], new["fit"]
+    if (fa is None) != (fb is None):
+        diffs.append(f"fit {fa} != {fb}")
+    elif fa is not None:
+        for key in ("rho", "logC", "r2"):
+            if abs(fa[key] - fb[key]) > tol * max(1.0, abs(fa[key])):
+                diffs.append(f"fit.{key} {fa[key]} vs {fb[key]} (tol {tol})")
     return diffs
 
 

@@ -22,11 +22,7 @@ RANDOM_SUBSPACE_MAX_DRAWS = 64
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def frac_str(x: Fraction) -> str:
@@ -92,20 +88,6 @@ class Mat:
                 row.append(s)
             out.append(row)
         return Mat(out)
-
-    def apply(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch in apply")
-        return [sum((self.entries[i][k] * v[k] for k in range(self.cols)), Fraction(0))
-                for i in range(self.rows)]
-
-    def stack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        return Mat(self.entries + other.entries)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
     def to_float_array(self):
         import numpy as np
@@ -231,15 +213,6 @@ class Subspace:
         if not self.basis:
             return Mat.zero(0, self.ambient_dim) if self.ambient_dim else Mat([])
         return Mat(self.basis)
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        if self.dim == 0:
-            return all(_frac(x) == 0 for x in v)
-        stacked = Mat(self.basis + [[_frac(x) for x in v]])
-        return rank(stacked) == self.dim
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
 
     def is_zero(self) -> bool:
         return self.dim == 0

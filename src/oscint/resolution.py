@@ -20,12 +20,14 @@ from .linalg import (
     constraint_matrix,
     intersect,
     kernel,
+    random_subspace,
     solve,
     subspace_sum,
 )
 from .snarl import (
     Snarl,
     SplitWitness,
+    codim_profile,
     intersect_indexed,
     is_onedim_general_position,
     is_transverse_splitting,
@@ -130,7 +132,7 @@ def construct_transverse_splitting(s: Snarl, alpha0: str, seed: int) -> Splittin
     if kappa0 < 2:
         raise NotSplittable(f"entry {alpha0!r} has codimension 1")
     m = s.ambient_dim
-    profile = [(lab, sub.codim) for lab, sub in s.entries]
+    profile = codim_profile(s)
     s1, s2 = balance_partition(profile, alpha0)
     kd = dict(profile)
     ks1 = sum(kd[lab] for lab in s1)
@@ -150,8 +152,8 @@ def construct_transverse_splitting(s: Snarl, alpha0: str, seed: int) -> Splittin
         rng = random.Random(f"{seed}:{attempt}")
         su, suu = rng.randrange(2**32), rng.randrange(2**32)
         seeds_used.extend([su, suu])
-        u1 = _random_subspace_rng(m, min(ks1 + kp, m), su)
-        u2 = _random_subspace_rng(m, min(ks2 + kpp, m), suu)
+        u1 = random_subspace(m, min(ks1 + kp, m), su, coeff_bound=GENERIC_COEFF_BOUND)
+        u2 = random_subspace(m, min(ks2 + kpp, m), suu, coeff_bound=GENERIC_COEFF_BOUND)
         w1 = intersect(u1, vs1)
         w2 = intersect(u2, vs2)
         if w1.dim < kp or w2.dim < kpp:
@@ -183,12 +185,6 @@ def construct_transverse_splitting(s: Snarl, alpha0: str, seed: int) -> Splittin
         "the snarl may be too degenerate or the codimension hypothesis fails")
 
 
-def _random_subspace_rng(m: int, dim: int, seed: int) -> Subspace:
-    from .linalg import random_subspace
-
-    return random_subspace(m, dim, seed, coeff_bound=GENERIC_COEFF_BOUND)
-
-
 def resolve(s: Snarl, seed: int) -> Resolution:
     """Split the maximal-codimension entry (first on ties) until every
     entry is a hyperplane; deterministic given (snarl, seed)."""
@@ -197,7 +193,7 @@ def resolve(s: Snarl, seed: int) -> Resolution:
     steps: list[SplittingStep] = []
     cur = s
     while True:
-        kappas = [(lab, sub.codim) for lab, sub in cur.entries]
+        kappas = codim_profile(cur)
         kmax = max(k for _, k in kappas)
         if kmax == 1:
             break

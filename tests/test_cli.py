@@ -8,6 +8,7 @@ from oscint.cli import main
 from oscint.records import TOOL_VERSION
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+RECORDS = FIXTURES / "records"
 
 
 @pytest.fixture
@@ -211,15 +212,35 @@ def test_replay_sweep_ok(runner, tmp_path):
     assert "replay ok" in res2.output
 
 
-def test_replay_tampered_exit_4(runner, tmp_path):
-    rec_path = _make_resolve_record(runner, tmp_path)
-    rec = read_json(rec_path)
-    rec["output"]["resolution"]["terminal_general_position"] = \
-        not rec["output"]["resolution"]["terminal_general_position"]
+@pytest.mark.parametrize("name", ["demo-sweep", "adversarial-sweep"])
+def test_replay_committed_sweep_records_ok(runner, name):
+    # records written by an earlier version of the quadrature code
+    res = runner.invoke(main, ["replay", str(RECORDS / f"{name}.record.json")])
+    assert res.exit_code == 0, res.output
+    assert "replay ok" in res.output
+
+
+def _replay_mismatch(runner, tmp_path, rec) -> str:
     tampered = tmp_path / "tampered.json"
     write_json(tampered, rec)
     res = runner.invoke(main, ["replay", str(tampered)])
     assert res.exit_code == 4, res.output
+    return res.output
+
+
+def test_replay_tampered_exit_4(runner, tmp_path):
+    rec = read_json(_make_resolve_record(runner, tmp_path))
+    rec["output"]["resolution"]["terminal_general_position"] = \
+        not rec["output"]["resolution"]["terminal_general_position"]
+    _replay_mismatch(runner, tmp_path, rec)
+
+    rec = read_json(RECORDS / "adversarial-sweep.record.json")
+    rec["output"]["rows"][2]["nodes"] = 128
+    assert "row 2: nodes" in _replay_mismatch(runner, tmp_path, rec)
+
+    rec = read_json(RECORDS / "adversarial-sweep.record.json")
+    rec["output"]["fit"]["rho"] += 1e-6
+    assert "fit.rho" in _replay_mismatch(runner, tmp_path, rec)
 
 
 def test_replay_version_mismatch_warns(runner, tmp_path):

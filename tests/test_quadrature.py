@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oscint import quadrature
 from oscint.linalg import Mat
 from oscint.poly import MultiPoly, compose, is_degenerate
 from oscint.quadrature import (
@@ -95,6 +96,43 @@ def test_midpoint_matches_gauss(product_setup):
     a, _ = eval_integral(p, 16.0, pis, fs, gl)
     b, _ = eval_integral(p, 16.0, pis, fs, mp)
     assert abs(a - b) < 1e-6
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_gauss_legendre_exact_for_degree_below_2n(n):
+    x, w = quadrature._gauss_legendre(n)
+    for k in range(2 * n):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(np.dot(w, x ** k) - exact) < 1e-14, k
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 65, 2048])
+def test_gauss_legendre_symmetric_weights_sum_to_two(n):
+    x, w = quadrature._gauss_legendre(n)
+    assert len(x) == len(w) == n
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+    assert abs(w.sum() - 2.0) < 1e-14
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+def test_gauss_legendre_matches_numpy(n):
+    # within 2 ulp of 1, the scale of the interval: numpy's eigenvalue
+    # nodes near 0 are off by several of their own ulp
+    x, _ = quadrature._gauss_legendre(n)
+    ref, _ = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - ref)) <= 2 * np.spacing(1.0)
+
+
+def test_gauss_legendre_built_once_per_node_count():
+    quadrature._gauss_legendre.cache_clear()
+    a, wa = quadrature._axis_rule(0.0, 1.0, 32, "gauss-legendre")
+    b, wb = quadrature._axis_rule(-2.0, 0.5, 32, "gauss-legendre")
+    assert quadrature._gauss_legendre.cache_info().misses == 1
+    assert a[0] > 0.0 and b[0] > -2.0 and b[-1] < 0.5
+    assert abs(wa.sum() - 1.0) < 1e-14 and abs(wb.sum() - 2.5) < 1e-14
 
 
 def test_node_cap_exceeded():
