@@ -8,7 +8,6 @@ failure, 3 quadrature non-convergence, 4 replay mismatch.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,11 +16,9 @@ import click
 
 from . import records, schemas
 from .linalg import GenericityFailure
-from .poly import (is_degenerate, mat_from_json, poly_from_json, poly_to_json,
-                   report_to_json)
-from .quadrature import (BumpSpec, DecaySweep, FitResult, InsufficientTail,
-                         QuadConfig, SweepRow, fit_decay, sweep, sweep_to_csv,
-                         sweep_to_json)
+from .poly import is_degenerate, mat_from_json, poly_from_json, report_to_json
+from .quadrature import (BumpSpec, DecaySweep, InsufficientTail, QuadConfig,
+                         fit_decay, sweep, sweep_to_csv, sweep_to_json)
 from .resolution import resolution_to_json, resolve, verify_resolution
 from .snarl import check_weak_hypothesis, snarl_from_json
 

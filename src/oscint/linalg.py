@@ -32,12 +32,13 @@ def frac_str(x: Fraction) -> str:
 
 
 class Mat:
-    """Dense matrix with Fraction entries, row-major."""
+    """Dense matrix with Fraction entries, row-major, held as a tuple of
+    tuples: a Mat is an immutable value, safe to hash and to cache."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
-        self.entries = [[_frac(x) for x in row] for row in entries]
+        self.entries = tuple(tuple(_frac(x) for x in row) for row in entries)
         self.rows = len(self.entries)
         if self.entries:
             self.cols = len(self.entries[0])
@@ -64,13 +65,10 @@ class Mat:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.entries)))
+        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return f"Mat({self.entries!r})"
-
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.entries[i])
 
     def transpose(self) -> "Mat":
         return Mat([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -149,7 +147,7 @@ def solve(A: Mat, b: Sequence[Fraction]) -> list[Fraction] | None:
     """
     if len(b) != A.rows:
         raise ValueError("dimension mismatch in solve")
-    aug = Mat([row + [b[i]] for i, row in enumerate(A.entries)])
+    aug = Mat([row + (b[i],) for i, row in enumerate(A.entries)])
     R, rk, pivots = rref(aug)
     if A.cols in pivots:  # pivot in the augmented column: inconsistent
         return None
@@ -160,7 +158,8 @@ def solve(A: Mat, b: Sequence[Fraction]) -> list[Fraction] | None:
 
 
 class Subspace:
-    """Linear subspace of Q^m, stored as a reduced row-echelon basis.
+    """Linear subspace of Q^m, stored as a reduced row-echelon basis
+    (a tuple of tuples, so a Subspace is an immutable value).
 
     The canonical form makes equality of subspaces equality of
     representations, which every general-position predicate relies on.
@@ -169,15 +168,11 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
-        rows = [[_frac(x) for x in v] for v in vectors]
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient dimension")
-        if rows:
-            R, rk, _ = rref(Mat(rows))
-            self.basis = [R.row(i) for i in range(rk)]
-        else:
-            self.basis = []
+        M = Mat(vectors, cols=ambient_dim)
+        if M.cols != ambient_dim:
+            raise ValueError("vector length != ambient dimension")
+        R, rk, _ = rref(M)
+        self.basis = R.entries[:rk]
         self.ambient_dim = ambient_dim
 
     @staticmethod
@@ -204,15 +199,13 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, tuple(tuple(v) for v in self.basis)))
+        return hash((self.ambient_dim, self.basis))
 
     def __repr__(self):
         return f"Subspace(m={self.ambient_dim}, dim={self.dim})"
 
     def basis_matrix(self) -> Mat:
-        if not self.basis:
-            return Mat.zero(0, self.ambient_dim) if self.ambient_dim else Mat([])
-        return Mat(self.basis)
+        return Mat(self.basis, cols=self.ambient_dim)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -234,9 +227,9 @@ def intersect(A: Subspace, B: Subspace) -> Subspace:
     if A.dim == 0 or B.dim == 0:
         return Subspace.zero(m)
     if A.is_full():
-        return Subspace(m, B.basis)
+        return B
     if B.is_full():
-        return Subspace(m, A.basis)
+        return A
     # x in A∩B  <=>  x = c·basisA = d·basisB; solve for (c, d)
     p, q = A.dim, B.dim
     cols = []
@@ -251,12 +244,10 @@ def intersect(A: Subspace, B: Subspace) -> Subspace:
 
 
 def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
-    """A + B, with the modular-law dimension identity asserted."""
+    """A + B, the span of both bases."""
     if A.ambient_dim != B.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    out = Subspace(A.ambient_dim, A.basis + B.basis)
-    assert out.dim == A.dim + B.dim - intersect(A, B).dim
-    return out
+    return Subspace(A.ambient_dim, A.basis + B.basis)
 
 
 def constraint_matrix(S: Subspace) -> Mat:

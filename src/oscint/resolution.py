@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import (
     GenericityFailure,
@@ -230,8 +229,8 @@ def _factor_through(derived: Mat, pi0: Mat) -> Mat:
     """Exact L with L @ pi0 == derived; raises if no such L exists."""
     pi0t = pi0.transpose()
     rows = []
-    for i in range(derived.rows):
-        y = solve(pi0t, derived.row(i))
+    for row in derived.entries:
+        y = solve(pi0t, row)
         if y is None:
             raise ValueError("derived projection does not factor through pi0")
         rows.append(y)

@@ -31,7 +31,7 @@ class Snarl:
 
     def __init__(self, ambient_dim: int, entries):
         self.ambient_dim = ambient_dim
-        self.entries = list(entries)
+        self.entries = tuple((label, sub) for label, sub in entries)
         seen = set()
         for label, sub in self.entries:
             if label in seen:
@@ -174,7 +174,7 @@ def is_onedim_general_position(s: Snarl) -> bool:
     for label, sub in s.entries:
         if sub.codim != 1:
             raise NonOneDimensional(f"entry {label!r} has codimension {sub.codim}")
-        normals.append(constraint_matrix(sub).row(0))
+        normals.append(constraint_matrix(sub).entries[0])
     k = min(len(normals), m)
     if k == 0:
         return True

@@ -62,7 +62,20 @@ def test_kernel_sum_map():
 
 def test_intersect_with_full_space():
     B = Subspace(3, [[1, 2, 3]])
-    assert intersect(Subspace.full(3), B) == B
+    assert intersect(Subspace.full(3), B) is B
+    assert intersect(B, Subspace.full(3)) is B
+
+
+def test_mat_and_subspace_are_immutable():
+    M = Mat([[1, 2], [3, 4]])
+    S = Subspace(2, [[1, 2]])
+    for rows in (M.entries, S.basis):
+        with pytest.raises(TypeError):
+            rows[0] = (Fraction(0), Fraction(0))
+        with pytest.raises(TypeError):
+            rows[0][0] = Fraction(0)
+    assert M == Mat([[1, 2], [3, 4]])
+    assert S == Subspace(2, [[1, 2]])
 
 
 def test_intersect_complementary_planes():

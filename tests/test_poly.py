@@ -125,6 +125,18 @@ def test_degenerate_basis_rejects_non_surjective():
         degenerate_basis([Mat([[1, 0], [2, 0]])], 2)
 
 
+def test_degenerate_basis_cached_matrix_is_read_only():
+    # degenerate_basis hands out the matrix kept in the column cache
+    pis = [Mat([[1, 0]]), Mat([[0, 1]])]
+    p = P(2, {(2, 0): 1})
+    assert is_degenerate(p, pis).is_degenerate
+    A = degenerate_basis(pis, 2)
+    with pytest.raises(TypeError):
+        for i in range(A.rows):
+            A.entries[i] = (Fraction(0),) * A.cols
+    assert is_degenerate(p, pis).is_degenerate
+
+
 # --- degeneracy decision ---------------------------------------------------
 
 def test_degenerate_product_example(cltt_maps):

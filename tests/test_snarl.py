@@ -32,6 +32,13 @@ def test_codim_profile_single_hyperplane():
     assert codim_profile(s) == [("h", 1)]
 
 
+def test_snarl_entries_are_immutable():
+    s = Snarl(3, [("h", hyperplane(3, [1, 0, 0]))])
+    with pytest.raises(TypeError):
+        s.entries[0] = ("g", hyperplane(3, [0, 1, 0]))
+    assert codim_profile(s) == [("h", 1)]
+
+
 def test_codim_profile_six_hyperplanes():
     normals = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0],
                [0, 0, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]]
