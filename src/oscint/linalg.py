@@ -33,7 +33,8 @@ def frac_str(x: Fraction) -> str:
 
 class Mat:
     """Dense matrix with Fraction entries, row-major, held as a tuple of
-    tuples: a Mat is an immutable value, safe to hash and to cache."""
+    tuples so its rows cannot be modified in place.  Mats are hashed and
+    cached; do not rebind their attributes."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -159,7 +160,8 @@ def solve(A: Mat, b: Sequence[Fraction]) -> list[Fraction] | None:
 
 class Subspace:
     """Linear subspace of Q^m, stored as a reduced row-echelon basis
-    (a tuple of tuples, so a Subspace is an immutable value).
+    (a tuple of tuples, so it cannot be modified in place; do not rebind
+    its attributes).
 
     The canonical form makes equality of subspaces equality of
     representations, which every general-position predicate relies on.

@@ -24,7 +24,8 @@ class Snarl:
     """Ambient dimension plus an ordered list of (label, subspace) entries.
 
     Every subspace must be proper and nonzero (codimension in [1, m-1]);
-    labels are unique.  Immutable after construction.
+    labels are unique.  The entries are a tuple; do not rebind attributes
+    after construction.
     """
 
     __slots__ = ("ambient_dim", "entries")
