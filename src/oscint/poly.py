@@ -117,17 +117,22 @@ class MultiPoly:
             total += v
         return total
 
-    def evaluate_array(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation; points has shape (..., num_vars)."""
-        out = np.zeros(points.shape[:-1], dtype=float)
+    def evaluate_array(self, points) -> np.ndarray:
+        """Vectorized float evaluation at points given either as one array
+        of shape (..., num_vars) or as num_vars arrays, one per variable,
+        that broadcast together.  Each term is evaluated on the broadcast
+        shape of the variables it uses; the result has the broadcast shape
+        of all of them."""
+        xs = np.moveaxis(points, -1, 0) if isinstance(points, np.ndarray) else points
+        out = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in xs)))
         powers: dict[tuple[int, int], np.ndarray] = {}
         for e, c in self.terms.items():
-            term = np.full(points.shape[:-1], float(c))
+            term = float(c)
             for i, ei in enumerate(e):
                 if ei:
                     if (i, ei) not in powers:
-                        powers[i, ei] = points[..., i] ** ei
-                    term *= powers[i, ei]
+                        powers[i, ei] = xs[i] ** ei
+                    term = term * powers[i, ei]
             out += term
         return out
 

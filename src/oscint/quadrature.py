@@ -6,8 +6,10 @@ degenerate phase exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -21,7 +23,7 @@ from .poly import MultiPoly, compose
 
 DEFAULT_NODE_CAPS = {1: 4096, 2: 4096, 3: 512, 4: 64}
 MIN_NODES_PER_AXIS = 8
-CHUNK_LIMIT = 1 << 15  # max grid points per chunk; arrays of this size stay in cache
+CHUNK_LIMIT = 1 << 15  # max grid points per block; a thread's three block buffers take 768 KiB
 
 
 class NodeCapExceeded(Exception):
@@ -62,12 +64,14 @@ class BumpSpec:
             if q.num_vars != len(self.box):
                 raise ValueError("modulation variable count != box dimension")
 
-    def cutoff(self, t: np.ndarray) -> np.ndarray:
-        """The real bump on points of shape (..., dim), without modulation."""
-        val = np.ones(t.shape[:-1], dtype=float)
-        for i, (lo, hi) in enumerate(self.box):
+    def cutoff(self, t: Sequence[np.ndarray]) -> np.ndarray:
+        """The real bump, without modulation, at points given as one array
+        per box axis; the arrays broadcast together, and each axis factor
+        is evaluated on its own array's shape."""
+        val = 1.0
+        for ti, (lo, hi) in zip(t, self.box):
             lo_f, hi_f = float(lo), float(hi)
-            s = (2.0 * t[..., i] - (lo_f + hi_f)) / (hi_f - lo_f)
+            s = (2.0 * ti - (lo_f + hi_f)) / (hi_f - lo_f)
             inside = np.abs(s) < 1.0
             axis = np.zeros_like(s)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -170,35 +174,70 @@ def _axis_rule(lo: float, hi: float, n: int, rule: str) -> tuple[np.ndarray, np.
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def _chunk_sums(p: MultiPoly, pis: Sequence[np.ndarray], fs: Sequence[BumpSpec],
-                axes, start: int, stop: int,
-                freqs: Sequence[tuple[float, Sequence[float]]]) -> np.ndarray:
-    """Partial sums over grid points start..stop-1 (C order), one per row.
-
-    The lambda-independent arrays (P, each Q_j o pi_j, the amplitude and
-    the weights) are evaluated once; each row (lam, mus) then costs one
-    exponential per point, exp(i*(lam*P - sum_j mus[j]*Q_j o pi_j)), with
-    mus listing the frequencies of the modulated bumps in order.
+def _blocks(n: int, m: int):
+    """The grid of n**m points as blocks of at most CHUNK_LIMIT points, in
+    grid-index order.  A block is one slice per axis: single indices on
+    the leading axes, a range on one axis, and all of the trailing axes.
     """
-    idx = np.unravel_index(np.arange(start, stop), (len(axes[0][0]),) * len(axes))
-    coords = np.stack([x[i] for (x, _), i in zip(axes, idx)])
-    amp = axes[0][1][idx[0]]
-    for (_, w), i in zip(axes[1:], idx[1:]):
-        amp *= w[i]
-    pval = p.evaluate_array(coords.T)
+    k = 0
+    while n ** (m - k - 1) > CHUNK_LIMIT:
+        k += 1
+    step = CHUNK_LIMIT // n ** (m - k - 1)
+    for prefix in itertools.product(range(n), repeat=k):
+        for lo in range(0, n, step):
+            yield (tuple(slice(i, i + 1) for i in prefix) + (slice(lo, lo + step),)
+                   + (slice(None),) * (m - k - 1))
+
+
+def _linear_form(row: np.ndarray, xs: Sequence[np.ndarray]):
+    """sum_i row[i] * xs[i] over the nonzero coefficients, broadcast."""
+    terms = [c * x for c, x in zip(row, xs) if c]
+    return sum(terms[1:], terms[0]) if terms else np.zeros(())
+
+
+def _chunk_sums(p: MultiPoly, pis: Sequence[np.ndarray], fs: Sequence[BumpSpec],
+                axes, block, freqs: Sequence[tuple[float, Sequence[float]]],
+                scratch: threading.local) -> np.ndarray:
+    """Partial sums over one block of the grid (see _blocks), one per row.
+
+    Axis i's nodes and weights enter as an array that is long along axis
+    i and of length 1 along the others, so P, each Q_j o pi_j and each
+    bump factor are evaluated by broadcasting on only the axes they use.
+    The lambda-independent arrays are evaluated once; each row (lam, mus)
+    then costs one exponential per point, exp(i*(lam*P - sum_j mus[j]*
+    Q_j o pi_j)), with mus listing the frequencies of the modulated bumps
+    in order.  The block-sized arrays (amplitude, phase, cos) live in
+    buffers that each worker thread allocates once in `scratch`.
+    """
+    m = len(axes)
+    xs, ws = [], []
+    for i, ((x, w), sl) in enumerate(zip(axes, block)):
+        along_i = (1,) * i + (-1,) + (1,) * (m - i - 1)
+        xs.append(x[sl].reshape(along_i))
+        ws.append(w[sl].reshape(along_i))
+    shape = tuple(x.size for x in xs)
+    size = math.prod(shape)
+    bufs = getattr(scratch, "bufs", None)
+    if bufs is None:
+        bufs = scratch.bufs = np.empty((3, CHUNK_LIMIT))
+    amp, phase, re = (b[:size].reshape(shape) for b in bufs)
+    amp[...] = ws[0]
+    for w in ws[1:]:
+        amp *= w
+    pval = p.evaluate_array(xs)
     qvals = []
     for pi, f in zip(pis, fs):
-        t = (pi @ coords).T
+        t = [_linear_form(row, xs) for row in pi]
         amp *= f.cutoff(t)
         if f.modulation is not None:
             qvals.append(f.modulation[0].evaluate_array(t))
     sums = np.empty(len(freqs), dtype=complex)
     for r, (lam, mus) in enumerate(freqs):
-        phase = lam * pval
+        np.multiply(pval, lam, out=phase)
         for mu, q in zip(mus, qvals):
             phase -= mu * q
         # exp(i*phase) as its real and imaginary parts; pairwise sums
-        re = np.cos(phase)
+        np.cos(phase, out=re)
         re *= amp
         im = np.sin(phase, out=phase)
         im *= amp
@@ -213,11 +252,13 @@ def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     level: the nodes per axis double until a row's relative change drops
     below cfg.refine_tol, and converged rows drop out.
 
-    Each level is summed in chunks of at most CHUNK_LIMIT points, taken in
-    grid-index order.  OSCINT_THREADS sets how many threads evaluate the
-    chunks; the per-chunk partial sums are combined by a correctly rounded
-    sum, so the result does not depend on it.  Returns, per row,
-    (value, nodes per axis) or the NodeCapExceeded that ended it.
+    Each level is summed block by block (see _blocks), each block at most
+    CHUNK_LIMIT points of the tensor grid.  OSCINT_THREADS sets how many
+    threads evaluate the blocks; each thread reuses one set of block-sized
+    buffers, and the per-block partial sums are combined by a correctly
+    rounded sum, so the result does not depend on the thread count.
+    Returns, per row, (value, nodes per axis) or the NodeCapExceeded that
+    ended it.
     """
     if len(fs) != len(pis):
         raise ValueError("one bump spec per map required")
@@ -233,21 +274,20 @@ def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     prev: list[Optional[complex]] = [None] * len(freqs)
     out: list = [None] * len(freqs)
     active = list(range(len(freqs)))
-    # The pool stays even at one worker.  On a 2-core Xeon with one BLAS
-    # thread, a serial loop on the main thread took 812K minor page faults
-    # per 4-d adversarial sweep against 616K here, and ran the
-    # sweep-adversarial benchmark at 0.131 / 0.136 against 0.166 / 0.158
-    # ops/s in two pairs.
+    # One pool serves every thread count.  On a 2-core Xeon with one BLAS
+    # thread, `oscint sweep --adversarial` on a 4-d degenerate cubic phase
+    # (rows stop at 64 nodes per axis) took 2.51-2.71 s wall with one worker
+    # and 1.75-2.27 s with two, in three alternating runs each; a serial
+    # loop without the pool took the same time as one worker, 2.11-2.34 s.
+    scratch = threading.local()
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         while active:
             axes = [_axis_rule(float(lo), float(hi), n, cfg.rule)
                     for lo, hi in cfg.domain_box]
             level = [freqs[r] for r in active]
-            total = n ** m
             parts = np.array(list(pool.map(
-                lambda s: _chunk_sums(p, pis_f, fs, axes, s,
-                                      min(s + CHUNK_LIMIT, total), level),
-                range(0, total, CHUNK_LIMIT))))
+                lambda block: _chunk_sums(p, pis_f, fs, axes, block, level, scratch),
+                _blocks(n, m))))
             vals = [complex(math.fsum(col.real), math.fsum(col.imag)) for col in parts.T]
             still = []
             for r, val in zip(active, vals):
@@ -317,8 +357,8 @@ def sweep(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     marked failed.  With a certificate (verified once) each bump j is
     modulated by exp(-i*lam*Q_j) at the row's own lambda.
 
-    OSCINT_THREADS > 1 evaluates the grid chunks of each level on a thread
-    pool; the chunk sums are combined by a correctly rounded sum, so results
+    OSCINT_THREADS > 1 evaluates the grid blocks of each level on a thread
+    pool; the block sums are combined by a correctly rounded sum, so results
     are identical to the serial run.
     """
     lams = [float(x) for x in lambdas]

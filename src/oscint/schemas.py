@@ -142,8 +142,21 @@ RECORD_SCHEMA = {
 }
 
 
+_VALIDATORS: dict[int, object] = {}  # id(schema) -> validator, which keeps schema alive
+
+
 def validate(obj, schema) -> None:
-    """Raise jsonschema.ValidationError if obj does not match schema."""
+    """Raise the best-matching jsonschema.ValidationError if obj does not
+    match schema, as jsonschema.validate does.  The schema is checked
+    against its metaschema and its validator built on first use, then
+    reused."""
     import jsonschema
 
-    jsonschema.validate(obj, schema)
+    validator = _VALIDATORS.get(id(schema))
+    if validator is None:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[id(schema)] = cls(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    if error is not None:
+        raise error

@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +163,100 @@ def test_eval_shape_validation(product_setup):
         eval_integral(MultiPoly(3, {(1, 1, 1): 1}), 1.0, pis, fs, cfg)
 
 
+# --- block kernel against a brute-force full-grid sum ----------------------
+
+def _bump(t, lo, hi):
+    s = (2.0 * t - (lo + hi)) / (hi - lo)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(np.abs(s) < 1.0, np.exp(-1.0 / (1.0 - s * s)), 0.0)
+
+
+def _full_grid_sums(phase, amp, domain, n, rule, lambdas):
+    """Sum of exp(i*(lam*phase[0] + phase[1])) * amp * w over the whole
+    meshgrid, exactly rounded, per lam; also the sum of |amp * w|."""
+    axes = [quadrature._axis_rule(float(lo), float(hi), n, rule) for lo, hi in domain]
+    X = np.meshgrid(*(x for x, _ in axes), indexing="ij")
+    W = functools.reduce(np.multiply, np.meshgrid(*(w for _, w in axes), indexing="ij"))
+    a = amp(X) * W
+    P, rest = phase(X)
+    sums = []
+    for lam in lambdas:
+        terms = (np.exp(1j * (lam * P + rest)) * a).ravel()
+        sums.append(complex(math.fsum(terms.real), math.fsum(terms.imag)))
+    return sums, math.fsum(np.abs(a).ravel())
+
+
+def _assert_level_matches(p, pis, fs, domain, n, rule, phase, amp):
+    # one level only: the cap stops every row at n with that level's sum
+    lambdas = [0.0, 3.0, 10.0, 40.0]
+    cfg = QuadConfig(domain_box=domain, nodes_per_axis=n, rule=rule,
+                     max_nodes_per_axis=n)
+    rows = sweep(p, pis, fs, lambdas, cfg).rows
+    ref, mass = _full_grid_sums(phase, amp, domain, n, rule, lambdas)
+    # the phase reaches about 100 rad, so each term carries ~1e-14 relative error
+    for row, want in zip(rows, ref):
+        assert row.nodes == n
+        assert abs(row.value - want) <= 1e-12 * mass, row.lam
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre", "midpoint"])
+def test_block_kernel_non_coordinate_map(rule):
+    # f_1 sits on x1 + x2 and is modulated by exp(-3i(x1 + x2)^2)
+    p = MultiPoly(2, {(1, 1): 1, (0, 2): -2})
+    q = MultiPoly(1, {(2,): 1})
+    pis = [Mat([[1, 1]]), Mat([[0, 1]])]
+    fs = [BumpSpec(box=[(0, 2)], modulation=(q, 3.0)), BumpSpec(box=[(0, 1)])]
+    _assert_level_matches(
+        p, pis, fs, [(0, 1), (0, 1)], 48, rule,
+        lambda X: (X[0] * X[1] - 2 * X[1] ** 2, -3.0 * (X[0] + X[1]) ** 2),
+        lambda X: _bump(X[0] + X[1], 0.0, 2.0) * _bump(X[1], 0.0, 1.0))
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre", "midpoint"])
+def test_block_kernel_blocks_off_the_chunk_grid(rule):
+    # 12^5 points as 12 blocks of 12^4, none of them on a 2^15 boundary
+    p = MultiPoly(5, {(1, 0, 1, 0, 0): 1, (0, 1, 0, 0, 1): 2, (0, 0, 0, 2, 0): -1})
+    pis = [Mat([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]),
+           Mat([[0, 0, 1, -1, 0], [0, 0, 0, 0, 1]])]
+    fs = [BumpSpec(box=[(0, 1), (0, 1)]), BumpSpec(box=[(-1, 1), (0, 1)])]
+    _assert_level_matches(
+        p, pis, fs, [(0, 1)] * 5, 12, rule,
+        lambda X: (X[0] * X[2] + 2 * X[1] * X[4] - X[3] ** 2, 0.0),
+        lambda X: (_bump(X[0], 0.0, 1.0) * _bump(X[1], 0.0, 1.0)
+                   * _bump(X[2] - X[3], -1.0, 1.0) * _bump(X[4], 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre", "midpoint"])
+@pytest.mark.parametrize("limit", [5, 20])
+def test_block_kernel_small_chunk_limit(rule, limit, monkeypatch):
+    # 5 splits the last axis of each (i, j) line, 20 splits axis 1 in pairs
+    monkeypatch.setattr(quadrature, "CHUNK_LIMIT", limit)
+    p = MultiPoly(3, {(1, 1, 0): 1, (0, 0, 3): 1, (1, 0, 0): -1})
+    pis = [Mat([[1, 0, 0]]), Mat([[0, 1, 1]])]
+    fs = [BumpSpec(box=[(0, 1)]), BumpSpec(box=[(0, 2)])]
+    _assert_level_matches(
+        p, pis, fs, [(0, 1)] * 3, 8, rule,
+        lambda X: (X[0] * X[1] + X[2] ** 3 - X[0], 0.0),
+        lambda X: _bump(X[0], 0.0, 1.0) * _bump(X[1] + X[2], 0.0, 2.0))
+
+
+def test_interior_critical_point_matches_stationary_phase():
+    # P = x1*x2 with bumps a(s) = exp(-1/(1-s^2)) on [-1, 1]: one
+    # nondegenerate critical point at 0, |det H| = 1, signature 0.  Since
+    # a(s) = e^-1 * (1 - s^2 + O(s^4)), stationary phase (Stein, Harmonic
+    # Analysis, ch. VIII) gives lam*I = 2*pi*a(0)^2 * (1 - 2/lam^2 + O(lam^-4))
+    # with a(0)^2 = e^-2; the tolerance is twice the 2/lam^2 term.
+    p = MultiPoly(2, {(1, 1): 1})
+    pis = [Mat([[1, 0]]), Mat([[0, 1]])]
+    fs = [BumpSpec(box=[(-1, 1)]), BumpSpec(box=[(-1, 1)])]
+    cfg = QuadConfig(domain_box=[(-1, 1), (-1, 1)], nodes_per_axis=64,
+                     refine_tol=1e-8)
+    lead = 2 * math.pi * math.exp(-2)
+    for row in sweep(p, pis, fs, [32.0, 64.0, 128.0, 256.0], cfg).rows:
+        assert row.error is None
+        assert abs(row.lam * row.abs - lead) <= 2 * lead * 2 / row.lam ** 2, row.lam
+
+
 # --- adversarial construction ---------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -290,6 +386,27 @@ def test_sweep_parallel_matches_serial(product_setup, monkeypatch):
     parallel = sweep(p, pis, fs, [1, 4, 16, 64], cfg)
     assert [(r.lam, r.value, r.nodes) for r in serial.rows] == \
         [(r.lam, r.value, r.nodes) for r in parallel.rows]
+
+
+def test_threads_keep_their_own_buffers(monkeypatch):
+    # 64 blocks per level on 4 threads, switching every microsecond: block
+    # buffers shared between threads would corrupt the block sums
+    monkeypatch.setattr(quadrature, "CHUNK_LIMIT", 64)
+    p = MultiPoly(3, {(1, 1, 0): 1, (0, 0, 2): 1})
+    pis = [Mat([[1, 0, 0]]), Mat([[0, 1, 1]])]
+    fs = [BumpSpec(box=[(0, 1)]), BumpSpec(box=[(0, 2)])]
+    cfg = QuadConfig(domain_box=[(0, 1)] * 3, nodes_per_axis=16, max_nodes_per_axis=16)
+    lambdas = [1.0, 10.0, 30.0, 60.0]
+    monkeypatch.setenv("OSCINT_THREADS", "1")
+    serial = [r.value for r in sweep(p, pis, fs, lambdas, cfg).rows]
+    monkeypatch.setenv("OSCINT_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = [r.value for r in sweep(p, pis, fs, lambdas, cfg).rows]
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
 
 
 def test_sweep_serialization():
