@@ -50,10 +50,6 @@ class Mat:
                 raise ValueError("ragged matrix")
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "Mat":
-        return Mat([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
-
-    @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
@@ -280,7 +276,8 @@ def random_subspace(m: int, dim: int, seed: int, coeff_bound: int = 10) -> Subsp
     for _ in range(RANDOM_SUBSPACE_MAX_DRAWS):
         vecs = [[Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(m)]
                 for _ in range(dim)]
-        if rank(Mat(vecs)) == dim:
-            return Subspace(m, vecs)
+        sub = Subspace(m, vecs)
+        if sub.dim == dim:
+            return sub
     raise GenericityFailure(f"no independent {dim}-set in Q^{m} after "
                             f"{RANDOM_SUBSPACE_MAX_DRAWS} draws")

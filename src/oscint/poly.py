@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Mat, frac_str, rank, solve
+from .linalg import Mat, frac_str, rank, rref, solve
 from .resolution import SplittingStep
 
 
@@ -335,15 +335,12 @@ def slice_subtract(p: MultiPoly, step: SplittingStep, z: Sequence[Fraction]) -> 
         raise ValueError("splitting data does not span the ambient space")
     T = Mat(cols).transpose()  # columns: W basis then V0 basis
     kappa0 = len(w_basis)
-    # inverse of T, column by column
-    inv_cols = []
-    for i in range(m):
-        e = [Fraction(int(k == i)) for k in range(m)]
-        x = solve(T, e)
-        if x is None:
-            raise ValueError("splitting data is degenerate (T not invertible)")
-        inv_cols.append(x)
-    Tinv = Mat(inv_cols).transpose()
+    # inverse of T from one elimination of [T | I]
+    eye = Mat.identity(m).entries
+    R, _, pivots = rref(Mat([row + eye[i] for i, row in enumerate(T.entries)]))
+    if pivots != list(range(m)):
+        raise ValueError("splitting data is degenerate (T not invertible)")
+    Tinv = Mat([row[m:] for row in R.entries])
     # projection onto W along V0
     D = Mat([[Fraction(int(i == j and i < kappa0)) for j in range(m)] for i in range(m)])
     proj = T.matmul(D).matmul(Tinv)

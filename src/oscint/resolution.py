@@ -123,8 +123,10 @@ def construct_transverse_splitting(s: Snarl, alpha0: str, seed: int) -> Splittin
     """Build and exactly verify a transverse splitting of entry alpha0.
 
     W' and W'' are cut out of the partition intersections by random generic
-    subspaces U', U''; every draw is verified exactly and retried with a
-    fresh derived seed on failure.
+    subspaces U', U''; a draw whose intersections come out too small is
+    redrawn, and otherwise is_transverse_splitting alone accepts or rejects
+    it.  is_splitting's codimension sum already forces V0, W' and W'' to be
+    independent.  Rejected draws are retried with a fresh derived seed.
     """
     v0 = s.subspace(alpha0)
     kappa0 = v0.codim
@@ -159,16 +161,9 @@ def construct_transverse_splitting(s: Snarl, alpha0: str, seed: int) -> Splittin
             continue
         w1 = _truncate(w1, kp)
         w2 = _truncate(w2, kpp)
-        if intersect(w1, w2).dim != 0:
-            continue
-        if intersect(subspace_sum(w1, w2), v0).dim != 0:
-            continue
         beta1, beta2 = _fresh_labels(set(s.labels()), 2)
-        wb1 = subspace_sum(v0, w1)
-        wb2 = subspace_sum(v0, w2)
-        if not (1 <= wb1.codim <= m - 1 and 1 <= wb2.codim <= m - 1):
-            continue
-        child = s.replace(alpha0, [(beta1, wb1), (beta2, wb2)])
+        child = s.replace(alpha0, [(beta1, subspace_sum(v0, w1)),
+                                   (beta2, subspace_sum(v0, w2))])
         witness = SplitWitness(alpha0=alpha0, beta1=beta1, beta2=beta2,
                                partition=(s1, s2))
         if not is_transverse_splitting(s, child, witness):

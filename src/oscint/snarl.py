@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (Mat, Subspace, constraint_matrix, frac_str, intersect,
-                     rank, subspace_sum)
+from .linalg import Mat, Subspace, constraint_matrix, frac_str, intersect, rank
 
 
 class NonOneDimensional(Exception):
@@ -139,28 +138,26 @@ def is_splitting(parent: Snarl, child: Snarl, w: SplitWitness) -> bool:
 
 
 def is_transverse_splitting(parent: Snarl, child: Snarl, w: SplitWitness) -> bool:
-    """is_splitting plus the four positional conditions: beta1 meets the
-    intersection over the first partition block nontrivially (likewise
-    beta2 / second block), the two new subspaces span the ambient space,
-    and each new subspace plus the removed one is proper."""
+    """is_splitting plus the two partition-block conditions: the partition
+    splits the other labels into two disjoint nonempty blocks, and beta1
+    meets the intersection over the first block nontrivially (likewise
+    beta2 and the second block).
+
+    The other two conditions of the definition follow from is_splitting:
+    beta1 + beta2 is the ambient space, as their codimensions add up to
+    that of their intersection alpha0; and beta_i + alpha0 = beta_i, which
+    the Snarl constructor keeps proper.
+    """
     if not is_splitting(parent, child, w):
         return False
     s1, s2 = w.partition
     rest = set(parent.labels()) - {w.alpha0}
     if not s1 or not s2 or (s1 & s2) or (s1 | s2) != rest:
         return False
-    v0 = parent.subspace(w.alpha0)
     w1 = child.subspace(w.beta1)
     w2 = child.subspace(w.beta2)
-    if intersect(w1, intersect_indexed(parent, s1)).dim == 0:
-        return False
-    if intersect(w2, intersect_indexed(parent, s2)).dim == 0:
-        return False
-    if not subspace_sum(w1, w2).is_full():
-        return False
-    if subspace_sum(w1, v0).is_full() or subspace_sum(w2, v0).is_full():
-        return False
-    return True
+    return (intersect(w1, intersect_indexed(parent, s1)).dim != 0
+            and intersect(w2, intersect_indexed(parent, s2)).dim != 0)
 
 
 def is_onedim_general_position(s: Snarl) -> bool:

@@ -220,6 +220,18 @@ def test_replay_committed_sweep_records_ok(runner, name):
     assert "replay ok" in res.output
 
 
+@pytest.mark.parametrize("name", ["cltt-example-seed0", "cltt-example-seed3",
+                                  "antisym-phase-degree2", "pullback-phase-degree2"])
+def test_replay_committed_exact_records_ok(runner, name):
+    # exact outputs written by an earlier version; replay compares them
+    # byte for byte, so this pins every splitting draw and certificate
+    path = RECORDS / f"{name}.record.json"
+    assert read_json(path)["command"] in ("resolve", "degeneracy")
+    res = runner.invoke(main, ["replay", str(path)])
+    assert res.exit_code == 0, res.output
+    assert "replay ok" in res.output
+
+
 def _replay_mismatch(runner, tmp_path, rec) -> str:
     tampered = tmp_path / "tampered.json"
     write_json(tampered, rec)

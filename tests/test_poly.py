@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscint.linalg import Mat, rank
+from oscint.linalg import Mat, Subspace, rank
 from oscint.poly import (
     MultiPoly,
     compose,
@@ -276,6 +276,17 @@ def test_slice_subtract_bad_z_length(cltt_step):
     p = P(4, {(1, 0, 0, 1): 1})
     with pytest.raises(ValueError):
         slice_subtract(p, cltt_step, [Fraction(0)])
+
+
+def test_slice_subtract_rejects_w_inside_v0(cltt_step):
+    # W' taken inside V0: W' + W'' + V0 has the right count of basis
+    # vectors but does not span, so T is singular
+    from dataclasses import replace
+
+    v0 = cltt_step.parent.subspace("pi0")
+    bad = replace(cltt_step, Wprime=Subspace(4, v0.basis[:1]))
+    with pytest.raises(ValueError, match="not invertible"):
+        slice_subtract(P(4, {(1, 0, 0, 1): 1}), bad, [Fraction(0), Fraction(0)])
 
 
 # --- JSON ------------------------------------------------------------------

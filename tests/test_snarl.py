@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oscint.linalg import Mat, Subspace, kernel
+from oscint.linalg import Mat, Subspace, intersect, kernel, subspace_sum
 from oscint.snarl import (
     NonOneDimensional,
     Snarl,
@@ -208,3 +208,65 @@ def test_splitting_conservation_laws(cltt_snarl):
     child_k = [sub.codim for _, sub in step.child.entries]
     assert sum(parent_k) == sum(child_k)
     assert max(child_k) <= max(parent_k)
+
+
+def transverse_by_definition(parent, child, w):
+    """The definition written out in full: a splitting, a partition of the
+    other labels into two nonempty blocks, and all four positional
+    conditions, including the two that is_transverse_splitting leaves to
+    is_splitting."""
+    if not is_splitting(parent, child, w):
+        return False
+    s1, s2 = w.partition
+    rest = set(parent.labels()) - {w.alpha0}
+    if not s1 or not s2 or (s1 & s2) or (s1 | s2) != rest:
+        return False
+    v0 = parent.subspace(w.alpha0)
+    w1 = child.subspace(w.beta1)
+    w2 = child.subspace(w.beta2)
+    return (intersect(w1, intersect_indexed(parent, s1)).dim != 0
+            and intersect(w2, intersect_indexed(parent, s2)).dim != 0
+            and subspace_sum(w1, w2).is_full()
+            and not subspace_sum(w1, v0).is_full()
+            and not subspace_sum(w2, v0).is_full())
+
+
+def tampered_steps(step):
+    """Children and witnesses near a real step: beta1 and beta2 swapped,
+    beta1 swapped with another entry, beta1 rebuilt from W' less one basis
+    vector, and wrong partitions."""
+    parent, child, w = step.parent, step.child, step.witness
+    s1, s2 = w.partition
+    wb1, wb2 = child.subspace(w.beta1), child.subspace(w.beta2)
+    m = child.ambient_dim
+    out = [(child.replace(w.beta1, [(w.beta1, wb2)]).replace(w.beta2, [(w.beta2, wb1)]), w)]
+    other = sorted(s1)[0]
+    swapped = [(lab, wb1 if lab == other else child.subspace(other) if lab == w.beta1
+                else sub) for lab, sub in child.entries]
+    out.append((Snarl(m, swapped), w))
+    short = subspace_sum(parent.subspace(w.alpha0), Subspace(m, step.Wprime.basis[1:]))
+    out.append((child.replace(w.beta1, [(w.beta1, short)]), w))
+    for partition in [(s2, s1), (s1 | s2, frozenset()), (s1, s2 | {w.beta1}),
+                      (s1 - {other}, s2 | {other})]:
+        out.append((child, SplitWitness(w.alpha0, w.beta1, w.beta2, partition)))
+    return out
+
+
+def test_transverse_splitting_matches_definition():
+    from conftest import random_snarl
+    from oscint.resolution import resolve
+
+    splittings = tampered = 0
+    for k in range(50):
+        steps = resolve(random_snarl(500 + k, m_range=(3, 6)), seed=k).steps
+        for step in steps:
+            assert is_transverse_splitting(step.parent, step.child, step.witness)
+            assert transverse_by_definition(step.parent, step.child, step.witness)
+        for child, w in tampered_steps(steps[0]):
+            expect = transverse_by_definition(steps[0].parent, child, w)
+            assert is_transverse_splitting(steps[0].parent, child, w) is expect
+            splittings += is_splitting(steps[0].parent, child, w)
+            tampered += 1
+    # most tampered cases are still splittings, so the partition conditions
+    # and the deleted ones are what decide them
+    assert splittings > tampered // 2
