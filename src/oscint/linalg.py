@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GenericityFailure(Exception):
@@ -90,11 +90,44 @@ class Mat:
         return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
 
 
-def rref(M: Mat) -> tuple[Mat, int, list[int]]:
-    """Reduced row echelon form; returns (R, rank, pivot_cols)."""
+class Factorisation(NamedTuple):
+    """The row operations of one Gauss-Jordan elimination of a matrix.
+
+    Step k made row k the pivot row of column pivots[k]: it swapped rows
+    k and swap, divided row k by pivot, then subtracted factor times row k
+    from each (row, factor) in elims.  A value of tuples, safe to cache.
+    """
+
+    rows: int
+    cols: int
+    pivots: tuple[int, ...]
+    steps: tuple[tuple[int, Fraction, tuple[tuple[int, Fraction], ...]], ...]
+
+    def solve(self, b: Sequence[Fraction]) -> list[Fraction] | None:
+        """Replay the row operations on b; see `solve`."""
+        if len(b) != self.rows:
+            raise ValueError("dimension mismatch in solve")
+        b = [_frac(x) for x in b]
+        for r, (swap, pivot, elims) in enumerate(self.steps):
+            b[r], b[swap] = b[swap], b[r]
+            if b[r]:
+                y = b[r] = b[r] / pivot
+                for i, f in elims:
+                    b[i] -= f * y
+        if any(b[len(self.pivots):]):
+            return None
+        x = [Fraction(0)] * self.cols
+        for i, pc in enumerate(self.pivots):
+            x[pc] = b[i]
+        return x
+
+
+def _eliminate(M: Mat) -> tuple[list[list[Fraction]], Factorisation]:
+    """Gauss-Jordan elimination of M, recording its row operations."""
     a = [list(row) for row in M.entries]
     nrows, ncols = M.rows, M.cols
     pivots: list[int] = []
+    steps = []
     r = 0
     for c in range(ncols):
         if r >= nrows:
@@ -107,15 +140,29 @@ def rref(M: Mat) -> tuple[Mat, int, list[int]]:
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
+        pivot = a[r][c]
+        a[r] = [x / pivot for x in a[r]]
+        elims = []
         for i in range(nrows):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                elims.append((i, f))
         pivots.append(c)
+        steps.append((piv, pivot, tuple(elims)))
         r += 1
-    return Mat(a), r, pivots
+    return a, Factorisation(nrows, ncols, tuple(pivots), tuple(steps))
+
+
+def rref(M: Mat) -> tuple[Mat, int, list[int]]:
+    """Reduced row echelon form; returns (R, rank, pivot_cols)."""
+    a, F = _eliminate(M)
+    return Mat(a), len(F.pivots), list(F.pivots)
+
+
+def factor(M: Mat) -> Factorisation:
+    """Record the elimination of M once, to solve against it many times."""
+    return _eliminate(M)[1]
 
 
 def rank(M: Mat) -> int:
@@ -140,18 +187,12 @@ def kernel_basis(M: Mat) -> list[list[Fraction]]:
 def solve(A: Mat, b: Sequence[Fraction]) -> list[Fraction] | None:
     """One exact solution of Ax = b, or None if inconsistent.
 
+    Replays the recorded elimination of A on b: the same pivots and the
+    same exact row operations as reducing [A | b], so the same answer.
+    b is inconsistent when an entry at or below row rank(A) is nonzero.
     Free variables are set to zero, so the answer is deterministic.
     """
-    if len(b) != A.rows:
-        raise ValueError("dimension mismatch in solve")
-    aug = Mat([row + (b[i],) for i, row in enumerate(A.entries)])
-    R, rk, pivots = rref(aug)
-    if A.cols in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [Fraction(0)] * A.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = R.entries[i][A.cols]
-    return x
+    return factor(A).solve(b)
 
 
 class Subspace:

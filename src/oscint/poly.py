@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Mat, frac_str, rank, rref, solve
+from .linalg import Mat, factor, frac_str, rank, rref
 from .resolution import SplittingStep
 
 
@@ -233,7 +233,12 @@ def coefficient_vector(p: MultiPoly, basis: list[tuple[int, ...]]) -> list[Fract
 @lru_cache(maxsize=256)
 def _degenerate_columns(pis: tuple[Mat, ...], max_degree: int):
     """Exact coefficient columns of q∘pi_j for every monomial q of degree
-    <= max_degree over each map's target; returns (Mat, column metadata)."""
+    <= max_degree over each map's target.
+
+    Returns (A, column metadata (j, exps), row monomials, the recorded
+    elimination of A, a read-only float copy of A, and each column's
+    pullback as a tuple of (exps, coeff)); nothing in it can be mutated.
+    """
     if not pis:
         raise ValueError("need at least one map")
     m = pis[0].cols
@@ -245,21 +250,23 @@ def _degenerate_columns(pis: tuple[Mat, ...], max_degree: int):
     row_basis = monomials(m, max_degree)
     cols = []
     meta = []
+    pullbacks = []
     for j, pi in enumerate(pis):
         for e in monomials(pi.rows, max_degree):
-            q = MultiPoly.monomial(pi.rows, e)
-            vec = coefficient_vector(compose(q, pi), row_basis)
-            cols.append(vec)
+            pullback = compose(MultiPoly.monomial(pi.rows, e), pi)
+            cols.append(coefficient_vector(pullback, row_basis))
             meta.append((j, e))
+            pullbacks.append(tuple(pullback.terms.items()))
     A = Mat([[cols[c][r] for c in range(len(cols))] for r in range(len(row_basis))])
-    return A, tuple(meta), tuple(row_basis)
+    Af = A.to_float_array()
+    Af.flags.writeable = False
+    return A, tuple(meta), tuple(row_basis), factor(A), Af, tuple(pullbacks)
 
 
 def degenerate_basis(pis: Sequence[Mat], max_degree: int) -> Mat:
     """Matrix whose column span is the degenerate subspace, in the
     graded-lex monomial coordinate system."""
-    A, _, _ = _degenerate_columns(tuple(pis), max_degree)
-    return A
+    return _degenerate_columns(tuple(pis), max_degree)[0]
 
 
 @dataclass
@@ -283,27 +290,28 @@ def is_degenerate(p: MultiPoly, pis: Sequence[Mat], max_degree: int | None = Non
     pis = tuple(pis)
     if labels is None:
         labels = [f"pi{j}" for j in range(len(pis))]
-    A, meta, row_basis = _degenerate_columns(pis, D)
+    _, meta, row_basis, F, Af, pullbacks = _degenerate_columns(pis, D)
     b = coefficient_vector(p, list(row_basis))
-    sol = solve(A, b)
+    sol = F.solve(b)
     if sol is not None:
-        cert_polys = [MultiPoly.zero(pi.rows) for pi in pis]
-        for c, (j, e) in zip(sol, meta):
+        cert_terms = [{} for _ in pis]
+        # sum of compose(q_j, pi_j), by linearity term by term
+        recon: dict[tuple[int, ...], Fraction] = {}
+        for c, (j, e), pullback in zip(sol, meta, pullbacks):
             if c != 0:
-                cert_polys[j] = cert_polys[j] + MultiPoly.monomial(pis[j].rows, e, c)
-        recon = MultiPoly.zero(p.num_vars)
-        for q, pi in zip(cert_polys, pis):
-            recon = recon + compose(q, pi)
-        assert recon == p
+                cert_terms[j][e] = c
+                for exps, v in pullback:
+                    recon[exps] = recon.get(exps, 0) + c * v
+        assert MultiPoly(p.num_vars, recon) == p
+        cert_polys = [MultiPoly(pi.rows, t) for pi, t in zip(pis, cert_terms)]
         return DegeneracyReport(True, list(zip(labels, cert_polys)), 0.0, {})
-    resid = _float_residual(A, b)
+    resid = _float_residual(Af, b)
     qnorm = float(np.linalg.norm(resid))
     residual = {e: float(r) for e, r in zip(row_basis, resid) if abs(r) > 0}
     return DegeneracyReport(False, None, qnorm, residual)
 
 
-def _float_residual(A: Mat, b: Sequence[Fraction]) -> np.ndarray:
-    Af = A.to_float_array()
+def _float_residual(Af: np.ndarray, b: Sequence[Fraction]) -> np.ndarray:
     bf = np.array([float(x) for x in b])
     coeffs, *_ = np.linalg.lstsq(Af, bf, rcond=None)
     return bf - Af @ coeffs

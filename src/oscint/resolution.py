@@ -17,10 +17,10 @@ from .linalg import (
     Mat,
     Subspace,
     constraint_matrix,
+    factor,
     intersect,
     kernel,
     random_subspace,
-    solve,
     subspace_sum,
 )
 from .snarl import (
@@ -222,13 +222,10 @@ def derived_projections(step: SplittingStep, pi0: Mat) -> tuple[Mat, Mat]:
 
 def _factor_through(derived: Mat, pi0: Mat) -> Mat:
     """Exact L with L @ pi0 == derived; raises if no such L exists."""
-    pi0t = pi0.transpose()
-    rows = []
-    for row in derived.entries:
-        y = solve(pi0t, row)
-        if y is None:
-            raise ValueError("derived projection does not factor through pi0")
-        rows.append(y)
+    F = factor(pi0.transpose())
+    rows = [F.solve(row) for row in derived.entries]
+    if None in rows:
+        raise ValueError("derived projection does not factor through pi0")
     L = Mat(rows)
     assert L.matmul(pi0) == derived
     return L
@@ -240,8 +237,14 @@ def verify_resolution(r: Resolution) -> dict:
     ok = True
     total0 = sum(sub.codim for _, sub in r.chain[0].entries)
     for k, step in enumerate(r.steps):
+        v0 = step.parent.subspace(step.witness.alpha0)
+        # the child's new entries are V0 + W' and V0 + W''
+        child = dict(step.child.entries)
         checks = {
-            "links_chain": step.parent == r.chain[k] and step.child == r.chain[k + 1],
+            "links_chain": (
+                step.parent == r.chain[k] and step.child == r.chain[k + 1]
+                and child.get(step.witness.beta1) == subspace_sum(v0, step.Wprime)
+                and child.get(step.witness.beta2) == subspace_sum(v0, step.Wdoubleprime)),
             "transverse_splitting": is_transverse_splitting(step.parent, step.child,
                                                             step.witness),
             "codim_sum_conserved": sum(sub.codim for _, sub in step.child.entries) == total0,
@@ -250,8 +253,7 @@ def verify_resolution(r: Resolution) -> dict:
                 <= max(sub.codim for _, sub in step.parent.entries)),
             "W_intersection_trivial": intersect(step.Wprime, step.Wdoubleprime).dim == 0,
             "W_sum_meets_V0_trivially": intersect(
-                subspace_sum(step.Wprime, step.Wdoubleprime),
-                step.parent.subspace(step.witness.alpha0)).dim == 0,
+                subspace_sum(step.Wprime, step.Wdoubleprime), v0).dim == 0,
         }
         passed = all(checks.values())
         ok = ok and passed

@@ -221,7 +221,8 @@ def test_replay_committed_sweep_records_ok(runner, name):
 
 
 @pytest.mark.parametrize("name", ["cltt-example-seed0", "cltt-example-seed3",
-                                  "antisym-phase-degree2", "pullback-phase-degree2"])
+                                  "antisym-phase-degree2", "pullback-phase-degree2",
+                                  "antisym-phase-degree3", "pullback-phase-degree3"])
 def test_replay_committed_exact_records_ok(runner, name):
     # exact outputs written by an earlier version; replay compares them
     # byte for byte, so this pins every splitting draw and certificate

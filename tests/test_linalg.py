@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from oscint.linalg import (
     Mat,
     Subspace,
     constraint_matrix,
+    factor,
     intersect,
     kernel,
     random_subspace,
@@ -138,6 +140,78 @@ def test_solve_consistent_and_inconsistent():
     A = Mat([[1, 2], [2, 4]])
     assert solve(A, [Fraction(1), Fraction(2)]) is not None
     assert solve(A, [Fraction(1), Fraction(3)]) is None
+
+
+def _reference_solve(A: Mat, b):
+    """Gauss-Jordan on [A | b] choosing the largest pivot in each column.
+
+    The reduced form of [A | b] does not depend on the pivot rows chosen,
+    so this must give solve's answer: None when the last column holds a
+    pivot, else x[pivot] = reduced b, with the free variables at zero."""
+    aug = [list(row) + [b[i]] for i, row in enumerate(A.entries)]
+    pivots = []
+    r = 0
+    for c in range(A.cols + 1):
+        rows = [i for i in range(r, len(aug)) if aug[i][c] != 0]
+        if not rows:
+            continue
+        best = max(rows, key=lambda i: abs(aug[i][c]))
+        aug[r], aug[best] = aug[best], aug[r]
+        head = aug[r][c]
+        aug[r] = [x / head for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if A.cols in pivots:
+        return None
+    x = [Fraction(0)] * A.cols
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][-1]
+    return x
+
+
+def test_solve_matches_reference_gauss_jordan():
+    rng = random.Random(2024)
+    seen = {"rank_deficient": 0, "inconsistent": 0, "zero_b": 0, "empty": 0, "swaps": 0}
+    for k in range(200):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        # A = B C with inner size k <= min(rows, cols) has rank <= k
+        inner = rng.randint(0, min(rows, cols))
+        B = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(inner)]
+             for _ in range(rows)]
+        C = [[Fraction(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(inner)]
+        A = Mat([[sum((B[i][t] * C[t][j] for t in range(inner)), Fraction(0))
+                  for j in range(cols)] for i in range(rows)], cols=cols)
+        if k % 4 >= 2:  # zeros on the diagonal make the elimination swap rows
+            A = Mat([[x if rng.random() < 0.5 else Fraction(0) for x in row]
+                     for row in A.entries], cols=cols)
+        kind = k % 3
+        if kind == 0:
+            b = [Fraction(0)] * rows
+        elif kind == 1:
+            y = [Fraction(rng.randint(-4, 4)) for _ in range(cols)]
+            b = [sum((A.entries[i][j] * y[j] for j in range(cols)), Fraction(0))
+                 for i in range(rows)]
+        else:
+            b = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(rows)]
+        x = solve(A, b)
+        assert x == _reference_solve(A, b)
+        if x is not None:
+            assert [sum((A.entries[i][j] * x[j] for j in range(cols)), Fraction(0))
+                    for i in range(rows)] == b
+        seen["rank_deficient"] += rank(A) < min(rows, cols)
+        seen["inconsistent"] += x is None
+        seen["zero_b"] += not any(b)
+        seen["empty"] += rows == 0 or cols == 0
+        seen["swaps"] += any(swap != r for r, (swap, _, _) in enumerate(factor(A).steps))
+    assert all(n >= 10 for n in seen.values()), seen
+    with pytest.raises(ValueError):
+        solve(Mat([[1, 2], [3, 4]]), [Fraction(1)])
+    with pytest.raises(ValueError):
+        solve(Mat([], cols=3), [Fraction(1)])
 
 
 @st.composite

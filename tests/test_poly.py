@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oscint.linalg import Mat, Subspace, rank
 from oscint.poly import (
     MultiPoly,
+    _degenerate_columns,
     compose,
     compose_affine,
     degenerate_basis,
@@ -135,6 +136,32 @@ def test_degenerate_basis_cached_matrix_is_read_only():
         for i in range(A.rows):
             A.entries[i] = (Fraction(0),) * A.cols
     assert is_degenerate(p, pis).is_degenerate
+
+
+def test_degenerate_factorisation_and_pullbacks_are_read_only(cltt_maps):
+    # is_degenerate replays the elimination and sums the pullbacks kept in
+    # the column cache, next to the matrix
+    pis = tuple(cltt_maps)
+    phases = [P(4, {(1, 0, 1, 0): 1, (0, 2, 0, 0): 3}), P(4, {(1, 0, 0, 1): 1})]
+    before = [is_degenerate(p, pis, max_degree=2) for p in phases]
+    assert [rep.is_degenerate for rep in before] == [True, False]
+    _, _, _, F, Af, pullbacks = _degenerate_columns(pis, 2)
+    step = next(st for st in F.steps if st[2])
+    attempts = [
+        (F.steps, 0, step),
+        (step[2], 0, (0, Fraction(0))),
+        (F.pivots, 0, 1),
+        (pullbacks, 0, ()),
+        (pullbacks[1], 0, ((0, 0, 0, 0), Fraction(5))),
+    ]
+    for target, index, value in attempts:
+        with pytest.raises(TypeError):
+            target[index] = value
+    with pytest.raises(AttributeError):
+        F.rows = 0
+    with pytest.raises(ValueError):
+        Af[0, 0] = 7.0
+    assert [is_degenerate(p, pis, max_degree=2) for p in phases] == before
 
 
 # --- degeneracy decision ---------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -141,6 +142,18 @@ def test_verify_resolution_detects_tampering(cltt_snarl):
     rep = verify_resolution(tampered)
     assert not rep["passed"]
     assert any(not s["passed"] for s in rep["steps"])
+
+
+def test_verify_resolution_ties_w_to_child_entries(cltt_snarl):
+    # an unrelated W' leaves every other check true: the child's entry
+    # beta1 must be V0 + W'
+    r = resolve(cltt_snarl, seed=0)
+    assert verify_resolution(r)["passed"]
+    r.steps[0] = dataclasses.replace(r.steps[0], Wprime=random_subspace(4, 1, 12345))
+    rep = verify_resolution(r)
+    assert not rep["passed"]
+    checks = rep["steps"][0]["checks"]
+    assert [name for name, ok in checks.items() if not ok] == ["links_chain"]
 
 
 def test_verify_empty_chain():
