@@ -177,11 +177,7 @@ def compose(q: MultiPoly, pi: Mat) -> MultiPoly:
     the corresponding row of pi as a linear form."""
     if q.num_vars != pi.rows:
         raise ValueError("q variable count != pi rows")
-    m = pi.cols
-    forms = [MultiPoly(m, {tuple(int(j == k) for k in range(m)): pi.entries[i][j]
-                           for j in range(m) if pi.entries[i][j] != 0})
-             for i in range(pi.rows)]
-    return _substitute(q, forms, m)
+    return _substitute(q, _linear_forms(pi), pi.cols)
 
 
 def compose_affine(p: MultiPoly, M: Mat, c: Sequence[Fraction]) -> MultiPoly:
@@ -189,16 +185,21 @@ def compose_affine(p: MultiPoly, M: Mat, c: Sequence[Fraction]) -> MultiPoly:
     variables)."""
     if p.num_vars != M.rows or M.rows != M.cols or len(c) != M.rows:
         raise ValueError("affine map shape mismatch")
+    return _substitute(p, _linear_forms(M, c), M.cols)
+
+
+def _linear_forms(M: Mat, c: Sequence[Fraction] | None = None) -> list[MultiPoly]:
+    """Row i of M as a linear form in M.cols variables, plus the constant
+    c[i] when c is given."""
     m = M.cols
+    unit = [tuple(int(j == k) for k in range(m)) for j in range(m)]
     forms = []
-    for i in range(m):
-        terms = {tuple(int(j == k) for k in range(m)): M.entries[i][j]
-                 for j in range(m) if M.entries[i][j] != 0}
-        ci = Fraction(c[i])
-        if ci != 0:
-            terms[(0,) * m] = ci
+    for i, row in enumerate(M.entries):
+        terms = [(u, a) for u, a in zip(unit, row) if a != 0]
+        if c is not None:
+            terms.append(((0,) * m, c[i]))
         forms.append(MultiPoly(m, terms))
-    return _substitute(p, forms, m)
+    return forms
 
 
 def _substitute(p: MultiPoly, forms: list[MultiPoly], out_vars: int) -> MultiPoly:
@@ -348,10 +349,9 @@ def slice_subtract(p: MultiPoly, step: SplittingStep, z: Sequence[Fraction]) -> 
     R, _, pivots = rref(Mat([row + eye[i] for i, row in enumerate(T.entries)]))
     if pivots != list(range(m)):
         raise ValueError("splitting data is degenerate (T not invertible)")
-    Tinv = Mat([row[m:] for row in R.entries])
-    # projection onto W along V0
-    D = Mat([[Fraction(int(i == j and i < kappa0)) for j in range(m)] for i in range(m)])
-    proj = T.matmul(D).matmul(Tinv)
+    # projection onto W along V0: the W columns of T times the W rows of T^-1
+    Tinv_w = Mat([row[m:] for row in R.entries[:kappa0]], cols=m)
+    proj = Mat([row[:kappa0] for row in T.entries]).matmul(Tinv_w)
     z0 = [sum((Fraction(z[k]) * v0.basis[k][i] for k in range(v0.dim)), Fraction(0))
           for i in range(m)]
     frozen = compose_affine(p, proj, z0)

@@ -278,7 +278,7 @@ def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     # thread, `oscint sweep --adversarial` on a 4-d degenerate cubic phase
     # (rows stop at 64 nodes per axis) took 2.51-2.71 s wall with one worker
     # and 1.75-2.27 s with two, in three alternating runs each; a serial
-    # loop without the pool took the same time as one worker, 2.11-2.34 s.
+    # loop without the pool took 2.11-2.34 s.
     scratch = threading.local()
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         while active:

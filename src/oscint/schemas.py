@@ -134,6 +134,7 @@ RECORD_SCHEMA = {
     "properties": {
         "run_id": {"type": "string"},
         "command": {"enum": ["resolve", "degeneracy", "sweep"]},
+        "input": {"type": "object"},
         "seeds": {"type": "array", "items": {"type": "integer"}},
         "tolerance": {"type": "number", "minimum": 0},
         "tool_version": {"type": "string"},

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from oscint import schemas
 from oscint.cli import main
 from oscint.records import TOOL_VERSION
 
@@ -277,3 +278,67 @@ def test_replay_unknown_command_exit_1(runner, tmp_path):
     write_json(bad, rec)
     res = runner.invoke(main, ["replay", str(bad)])
     assert res.exit_code == 1
+
+
+def test_replay_malformed_recorded_input_exit_1(runner, tmp_path):
+    # a recorded input is checked with the command's own schemas: each of
+    # these exits 1 (malformed input), not 4 and not with a traceback
+    cases = [read_json(RECORDS / f"{name}.record.json") for name in
+             ("cltt-example-seed0", "cltt-example-seed3",
+              "antisym-phase-degree2", "demo-sweep", "cltt-example-seed0")]
+    cases[0]["input"]["snarl"]["subspaces"] = "xy"
+    cases[1]["input"]["snarl"]["subspaces"][0]["basis"][0][0] = "x"
+    del cases[2]["input"]["maps"]["maps"][0]["rows"]
+    del cases[3]["input"]["runspec"]["lambdas"]
+    cases[4]["input"]["seed"] = "0"
+    for i, rec in enumerate(cases):
+        path = tmp_path / f"malformed-{i}.json"
+        write_json(path, rec)
+        res = runner.invoke(main, ["replay", str(path)])
+        # CliRunner reports an uncaught exception as exit 1 too
+        assert isinstance(res.exception, SystemExit), (i, res.exception)
+        assert res.exit_code == 1, (i, res.output)
+        assert "schema violation" in all_output(res), i
+
+
+# --- output schemas ----------------------------------------------------------
+
+OUTPUT_SCHEMAS = {"resolve": schemas.RESOLUTION_SCHEMA,
+                  "degeneracy": schemas.REPORT_SCHEMA,
+                  "sweep": schemas.SWEEP_SCHEMA}
+
+
+def _check_output(command, output):
+    schemas.validate(output["resolution"] if command == "resolve" else output,
+                     OUTPUT_SCHEMAS[command])
+
+
+def test_outputs_match_their_schemas(runner, tmp_path):
+    # the program does not check what it writes; this test does, on every
+    # written output and on the output of every written or committed record
+    runs = [("resolve", [FIXTURES / "cltt-example.json", "--seed", seed,
+                         "--out", tmp_path / f"resolve-{seed}"],
+             tmp_path / f"resolve-{seed}" / "resolution.json")
+            for seed in range(4)]
+    for phase in ("antisym-phase", "pullback-phase"):
+        for degree in ([], ["--degree", 2], ["--degree", 3]):
+            out = tmp_path / f"{phase}{''.join(map(str, degree))}.json"
+            runs.append(("degeneracy", [FIXTURES / f"{phase}.json",
+                                        FIXTURES / "cltt-maps.json",
+                                        *degree, "--out", out], out))
+    for name, flags in (("demo-sweep", []), ("adversarial-sweep", ["--adversarial"])):
+        out = tmp_path / f"{name}.csv"
+        runs.append(("sweep", [FIXTURES / f"{name}.json", "--out", out, *flags],
+                     out.with_suffix(".json")))
+    for command, args, written in runs:
+        res = runner.invoke(main, [command, *map(str, args)])
+        assert res.exit_code == 0, res.output
+        _check_output(command, read_json(written))
+    recs = sorted(tmp_path.rglob("*record*.json"))
+    assert len(recs) == len(runs)
+    committed = sorted(RECORDS.glob("*.record.json"))
+    assert len(committed) == 8
+    for path in recs + committed:
+        rec = read_json(path)
+        schemas.validate(rec, schemas.RECORD_SCHEMA)
+        _check_output(rec["command"], rec["output"])
