@@ -2,7 +2,7 @@
 decay sweeps, and replay recorded runs.
 
 Exit codes: 0 success, 1 malformed input, 2 genericity / hypothesis
-failure, 3 quadrature non-convergence, 4 replay mismatch.
+failure, 3 quadrature non-convergence, 4 replay failure or mismatch.
 """
 
 from __future__ import annotations
@@ -135,18 +135,19 @@ COMMANDS = {
 def _execute(command: str, inp: dict, where: Callable[[str], str],
              replay: bool = False):
     """Check each field of inp against its schema (exit 1, naming the field's
-    source where(field)), then run the command.  A failed run exits 2 on a
-    genericity failure and 1 otherwise, or 4 when replaying a record."""
+    source where(field)), then run the command.  Invalid input exits 1; a
+    genericity failure exits 2, or 4 when replaying a record."""
     run, fields = COMMANDS[command]
     for field, schema in fields.items():
         _validate(inp.get(field), schema, where(field))
     try:
         return run(inp)
-    except (GenericityFailure, ValueError, KeyError) as exc:
+    except GenericityFailure as exc:
         if replay:
             _fail(EXIT_REPLAY, f"replay execution failed: {exc}")
-        _fail(EXIT_GENERICITY if isinstance(exc, GenericityFailure) else EXIT_INPUT,
-              str(exc))
+        _fail(EXIT_GENERICITY, str(exc))
+    except (ValueError, KeyError) as exc:
+        _fail(EXIT_INPUT, str(exc))
 
 
 @click.group()

@@ -68,21 +68,15 @@ class Mat:
         return f"Mat({self.entries!r})"
 
     def transpose(self) -> "Mat":
-        return Mat([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Mat([[row[j] for row in self.entries] for j in range(self.cols)],
+                   cols=self.rows)
 
     def matmul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matmul")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = Fraction(0)
-                for k in range(self.cols):
-                    s += self.entries[i][k] * other.entries[k][j]
-                row.append(s)
-            out.append(row)
-        return Mat(out)
+        cols = other.transpose().entries
+        return Mat([[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
+                    for row in self.entries], cols=other.cols)
 
     def to_float_array(self):
         import numpy as np
@@ -157,7 +151,7 @@ def _eliminate(M: Mat) -> tuple[list[list[Fraction]], Factorisation]:
 def rref(M: Mat) -> tuple[Mat, int, list[int]]:
     """Reduced row echelon form; returns (R, rank, pivot_cols)."""
     a, F = _eliminate(M)
-    return Mat(a), len(F.pivots), list(F.pivots)
+    return Mat(a, cols=M.cols), len(F.pivots), list(F.pivots)
 
 
 def factor(M: Mat) -> Factorisation:
@@ -262,24 +256,14 @@ def intersect(A: Subspace, B: Subspace) -> Subspace:
     """Exact intersection of two subspaces of the same ambient space."""
     if A.ambient_dim != B.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    m = A.ambient_dim
-    if A.dim == 0 or B.dim == 0:
-        return Subspace.zero(m)
     if A.is_full():
         return B
     if B.is_full():
         return A
-    # x in A∩B  <=>  x = c·basisA = d·basisB; solve for (c, d)
-    p, q = A.dim, B.dim
-    cols = []
-    for i in range(m):
-        cols.append([A.basis[k][i] for k in range(p)] + [-B.basis[k][i] for k in range(q)])
-    stacked = Mat(cols)  # m x (p+q)
-    vecs = []
-    for cd in kernel_basis(stacked):
-        c = cd[:p]
-        vecs.append([sum((c[k] * A.basis[k][i] for k in range(p)), Fraction(0)) for i in range(m)])
-    return Subspace(m, vecs)
+    # x = c·basisA lies in B  <=>  B's equations vanish on it
+    basis = A.basis_matrix()
+    coeffs = kernel_basis(constraint_matrix(B).matmul(basis.transpose()))
+    return Subspace(A.ambient_dim, Mat(coeffs, cols=A.dim).matmul(basis).entries)
 
 
 def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
@@ -295,10 +279,7 @@ def constraint_matrix(S: Subspace) -> Mat:
     Rows are a canonical basis of the annihilator of S, so any linear map
     with nullspace S is row-equivalent to this one.
     """
-    m = S.ambient_dim
-    if S.dim == 0:
-        return Mat.identity(m)
-    return Mat(kernel_basis(S.basis_matrix()), cols=m)
+    return Mat(kernel_basis(S.basis_matrix()), cols=S.ambient_dim)
 
 
 def random_subspace(m: int, dim: int, seed: int, coeff_bound: int = 10) -> Subspace:
@@ -311,8 +292,6 @@ def random_subspace(m: int, dim: int, seed: int, coeff_bound: int = 10) -> Subsp
         raise ValueError("dim out of range")
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
-    if dim == 0:
-        return Subspace.zero(m)
     rng = random.Random(seed)
     for _ in range(RANDOM_SUBSPACE_MAX_DRAWS):
         vecs = [[Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(m)]

@@ -352,8 +352,7 @@ def slice_subtract(p: MultiPoly, step: SplittingStep, z: Sequence[Fraction]) -> 
     # projection onto W along V0: the W columns of T times the W rows of T^-1
     Tinv_w = Mat([row[m:] for row in R.entries[:kappa0]], cols=m)
     proj = Mat([row[:kappa0] for row in T.entries]).matmul(Tinv_w)
-    z0 = [sum((Fraction(z[k]) * v0.basis[k][i] for k in range(v0.dim)), Fraction(0))
-          for i in range(m)]
+    z0 = Mat([z]).matmul(v0.basis_matrix()).entries[0]
     frozen = compose_affine(p, proj, z0)
     return p - frozen
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -23,7 +22,7 @@ from .poly import MultiPoly, compose
 
 DEFAULT_NODE_CAPS = {1: 4096, 2: 4096, 3: 512, 4: 64}
 MIN_NODES_PER_AXIS = 8
-CHUNK_LIMIT = 1 << 15  # max grid points per block; a thread's three block buffers take 768 KiB
+CHUNK_LIMIT = 1 << 15  # max grid points per block; its three block arrays take 768 KiB
 
 
 class NodeCapExceeded(Exception):
@@ -196,8 +195,7 @@ def _linear_form(row: np.ndarray, xs: Sequence[np.ndarray]):
 
 
 def _chunk_sums(p: MultiPoly, pis: Sequence[np.ndarray], fs: Sequence[BumpSpec],
-                axes, block, freqs: Sequence[tuple[float, Sequence[float]]],
-                scratch: threading.local) -> np.ndarray:
+                axes, block, freqs: Sequence[tuple[float, Sequence[float]]]) -> np.ndarray:
     """Partial sums over one block of the grid (see _blocks), one per row.
 
     Axis i's nodes and weights enter as an array that is long along axis
@@ -206,8 +204,7 @@ def _chunk_sums(p: MultiPoly, pis: Sequence[np.ndarray], fs: Sequence[BumpSpec],
     The lambda-independent arrays are evaluated once; each row (lam, mus)
     then costs one exponential per point, exp(i*(lam*P - sum_j mus[j]*
     Q_j o pi_j)), with mus listing the frequencies of the modulated bumps
-    in order.  The block-sized arrays (amplitude, phase, cos) live in
-    buffers that each worker thread allocates once in `scratch`.
+    in order.
     """
     m = len(axes)
     xs, ws = [], []
@@ -216,11 +213,7 @@ def _chunk_sums(p: MultiPoly, pis: Sequence[np.ndarray], fs: Sequence[BumpSpec],
         xs.append(x[sl].reshape(along_i))
         ws.append(w[sl].reshape(along_i))
     shape = tuple(x.size for x in xs)
-    size = math.prod(shape)
-    bufs = getattr(scratch, "bufs", None)
-    if bufs is None:
-        bufs = scratch.bufs = np.empty((3, CHUNK_LIMIT))
-    amp, phase, re = (b[:size].reshape(shape) for b in bufs)
+    amp, phase, re = np.empty((3, *shape))
     amp[...] = ws[0]
     for w in ws[1:]:
         amp *= w
@@ -254,11 +247,10 @@ def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
 
     Each level is summed block by block (see _blocks), each block at most
     CHUNK_LIMIT points of the tensor grid.  OSCINT_THREADS sets how many
-    threads evaluate the blocks; each thread reuses one set of block-sized
-    buffers, and the per-block partial sums are combined by a correctly
-    rounded sum, so the result does not depend on the thread count.
-    Returns, per row, (value, nodes per axis) or the NodeCapExceeded that
-    ended it.
+    threads evaluate the blocks, and the per-block partial sums are
+    combined by a correctly rounded sum, so the result does not depend on
+    the thread count.  Returns, per row, (value, nodes per axis) or the
+    NodeCapExceeded that ended it.
     """
     if len(fs) != len(pis):
         raise ValueError("one bump spec per map required")
@@ -274,19 +266,14 @@ def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     prev: list[Optional[complex]] = [None] * len(freqs)
     out: list = [None] * len(freqs)
     active = list(range(len(freqs)))
-    # One pool serves every thread count.  On a 2-core Xeon with one BLAS
-    # thread, `oscint sweep --adversarial` on a 4-d degenerate cubic phase
-    # (rows stop at 64 nodes per axis) took 2.51-2.71 s wall with one worker
-    # and 1.75-2.27 s with two, in three alternating runs each; a serial
-    # loop without the pool took 2.11-2.34 s.
-    scratch = threading.local()
+    # One pool serves every thread count.
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         while active:
             axes = [_axis_rule(float(lo), float(hi), n, cfg.rule)
                     for lo, hi in cfg.domain_box]
             level = [freqs[r] for r in active]
             parts = np.array(list(pool.map(
-                lambda block: _chunk_sums(p, pis_f, fs, axes, block, level, scratch),
+                lambda block: _chunk_sums(p, pis_f, fs, axes, block, level),
                 _blocks(n, m))))
             vals = [complex(math.fsum(col.real), math.fsum(col.imag)) for col in parts.T]
             still = []

@@ -40,11 +40,11 @@ SPLIT_MAX_RETRIES = 32
 GENERIC_COEFF_BOUND = 10
 
 
-class NotSplittable(Exception):
+class NotSplittable(ValueError):
     """The selected entry already has codimension one."""
 
 
-class CannotPartition(Exception):
+class CannotPartition(ValueError):
     """Fewer than two labels remain besides the one being split."""
 
 

@@ -87,17 +87,13 @@ def codim_profile(s: Snarl) -> list[tuple[str, int]]:
 def check_strong_hypothesis(s: Snarl) -> bool:
     """2·max(codim) + sum(codim) <= 2m."""
     kappas = [sub.codim for _, sub in s.entries]
-    if not kappas:
-        return True
-    return 2 * max(kappas) + sum(kappas) <= 2 * s.ambient_dim
+    return 2 * max(kappas, default=0) + sum(kappas) <= 2 * s.ambient_dim
 
 
 def check_weak_hypothesis(s: Snarl) -> bool:
     """max(codim) + sum(codim) <= 2m."""
     kappas = [sub.codim for _, sub in s.entries]
-    if not kappas:
-        return True
-    return max(kappas) + sum(kappas) <= 2 * s.ambient_dim
+    return max(kappas, default=0) + sum(kappas) <= 2 * s.ambient_dim
 
 
 def intersect_indexed(s: Snarl, labels) -> Subspace:
@@ -174,8 +170,6 @@ def is_onedim_general_position(s: Snarl) -> bool:
             raise NonOneDimensional(f"entry {label!r} has codimension {sub.codim}")
         normals.append(constraint_matrix(sub).entries[0])
     k = min(len(normals), m)
-    if k == 0:
-        return True
     for subset in combinations(range(len(normals)), k):
         if rank(Mat([normals[i] for i in subset])) != k:
             return False

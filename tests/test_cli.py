@@ -84,6 +84,17 @@ def test_resolve_malformed_exit_1(runner, tmp_path):
     assert runner.invoke(main, ["resolve", str(path2)]).exit_code == 1
 
 
+def test_resolve_unpartitionable_exit_1(runner, tmp_path):
+    # meets the weak hypothesis, but no second label is left to partition
+    path = tmp_path / "lonely.json"
+    write_json(path, {"m": 3, "subspaces": [{"label": "a", "basis": [[1, 0, 0]]}]})
+    res = runner.invoke(main, ["resolve", str(path)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 1, res.output
+    assert "Traceback" not in all_output(res)
+    assert "at least 2 labels" in all_output(res)
+
+
 def test_resolve_deterministic_output(runner, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -255,6 +266,55 @@ def test_replay_tampered_exit_4(runner, tmp_path):
     rec = read_json(RECORDS / "adversarial-sweep.record.json")
     rec["output"]["fit"]["rho"] += 1e-6
     assert "fit.rho" in _replay_mismatch(runner, tmp_path, rec)
+
+
+def test_replay_sweep_mismatches_exit_4(runner, tmp_path):
+    def dropped_row(out):
+        del out["rows"][-1]
+
+    def error_flag(out):
+        out["rows"][0]["error"] = "node_cap_exceeded"
+
+    def abs_moved(out):
+        out["rows"][1]["abs"] *= 1 + 1e-6  # the record's tolerance is 1e-9
+
+    def fit_null(out):
+        out["fit"] = None
+
+    for tamper, named in ((dropped_row, "row count 4 != 5"),
+                          (error_flag, "row 0: error flag"),
+                          (abs_moved, "row 1: |I|"),
+                          (fit_null, "fit None != ")):
+        rec = read_json(RECORDS / "adversarial-sweep.record.json")
+        tamper(rec["output"])
+        assert named in _replay_mismatch(runner, tmp_path, rec), tamper.__name__
+
+
+def test_replay_invalid_recorded_snarl_exit_1(runner, tmp_path):
+    # inputs that pass the schema but are not valid snarls: exit 1 as
+    # `oscint resolve` does on the same snarl
+    cut, wide = (read_json(RECORDS / "cltt-example-seed0.record.json") for _ in range(2))
+    del cut["input"]["snarl"]["subspaces"][0]["basis"][1][-1]
+    wide["input"]["snarl"]["m"] = 5
+    for name, rec in (("cut", cut), ("wide", wide)):
+        path = tmp_path / f"{name}.json"
+        write_json(path, rec)
+        res = runner.invoke(main, ["replay", str(path)])
+        assert isinstance(res.exception, SystemExit), (name, res.exception)
+        assert res.exit_code == 1, (name, res.output)
+        assert "Traceback" not in all_output(res), name
+
+
+def test_replay_genericity_failure_exit_4(runner, tmp_path):
+    # the extra codimension-3 entry breaks the weak hypothesis on rerun
+    rec = read_json(RECORDS / "cltt-example-seed0.record.json")
+    rec["input"]["snarl"]["subspaces"].append({"label": "extra", "basis": [["1", "1", "1", "1"]]})
+    path = tmp_path / "broken-hypothesis.json"
+    write_json(path, rec)
+    res = runner.invoke(main, ["replay", str(path)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 4, res.output
+    assert "replay execution failed: hypothesis violated" in all_output(res)
 
 
 def test_replay_version_mismatch_warns(runner, tmp_path):

@@ -12,6 +12,7 @@ from oscint.linalg import (
     factor,
     intersect,
     kernel,
+    kernel_basis,
     random_subspace,
     rank,
     rref,
@@ -103,6 +104,61 @@ def test_sum_with_zero_and_self():
     assert subspace_sum(A, A) == A
 
 
+def test_intersect_with_zero_subspace():
+    Z = Subspace.zero(3)
+    for A in (Subspace(3, [[1, 2, 3], [0, 1, 1]]), Z, Subspace.full(3)):
+        assert intersect(A, Z) == Z
+        assert intersect(Z, A) == Z
+
+
+def _stacked_kernel_intersect(A: Subspace, B: Subspace) -> Subspace:
+    """A ∩ B by stacking both bases: x = c·basisA = d·basisB, solved for
+    (c, d) as the kernel of the m x (p+q) matrix [basisAᵀ | -basisBᵀ]."""
+    m, p, q = A.ambient_dim, A.dim, B.dim
+    stacked = Mat([[A.basis[k][i] for k in range(p)] + [-B.basis[k][i] for k in range(q)]
+                   for i in range(m)])
+    vecs = []
+    for cd in kernel_basis(stacked):
+        vecs.append([sum((cd[k] * A.basis[k][i] for k in range(p)), Fraction(0))
+                     for i in range(m)])
+    return Subspace(m, vecs)
+
+
+def test_intersect_matches_stacked_kernel_reference():
+    rng = random.Random(10)
+    seen = {"zero": 0, "full": 0, "meet": 0}
+    for k in range(320):
+        m = rng.randint(3, 6)
+
+        def vecs(n):
+            return [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)]
+                    for _ in range(n)]
+
+        a, b = vecs(rng.randint(0, m)), vecs(rng.randint(0, m))
+        if k % 2:  # make the pair share a vector
+            common = vecs(1)
+            a, b = a + common, common + b
+        A, B = Subspace(m, a), Subspace(m, b)
+        got = intersect(A, B)
+        assert got == _stacked_kernel_intersect(A, B), (k, A.basis, B.basis)
+        seen["zero"] += A.is_zero() or B.is_zero()
+        seen["full"] += A.is_full() or B.is_full()
+        seen["meet"] += got.dim > 0 and not (A.is_full() or B.is_full())
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_empty_shapes_keep_their_width():
+    R, rk, pivots = rref(Mat([], cols=3))
+    assert (R, rk, pivots) == (Mat([], cols=3), 0, [])
+    assert R.cols == 3
+    T = Mat([[], []]).transpose()  # 2x0 -> 0x2
+    assert (T.rows, T.cols) == (0, 2)
+    P = Mat([], cols=2).matmul(Mat([[1, 2, 3], [4, 5, 6]]))  # (0x2)(2x3) -> 0x3
+    assert (P.rows, P.cols) == (0, 3)
+    Z = Mat([[], []]).matmul(Mat([], cols=4))  # (2x0)(0x4) -> 2x4 zeros
+    assert Z == Mat([[0] * 4] * 2)
+
+
 def test_ambient_mismatch_raises():
     with pytest.raises(ValueError):
         intersect(Subspace.full(2), Subspace.full(3))
@@ -113,6 +169,9 @@ def test_ambient_mismatch_raises():
 def test_random_subspace_trivial_dims():
     assert random_subspace(4, 0, seed=5).is_zero()
     assert random_subspace(4, 4, seed=1).is_full()
+    for m in (1, 3, 6):
+        for seed in (0, 7):
+            assert random_subspace(m, 0, seed=seed) == Subspace.zero(m)
 
 
 def test_random_subspace_deterministic():
@@ -134,6 +193,8 @@ def test_constraint_matrix_round_trip():
     assert kernel(constraint_matrix(S)) == S
     # zero and full edge cases
     assert kernel(constraint_matrix(Subspace.zero(3))).is_zero()
+    for m in (1, 3, 5):
+        assert constraint_matrix(Subspace.zero(m)) == Mat.identity(m)
 
 
 def test_solve_consistent_and_inconsistent():

@@ -71,6 +71,13 @@ def test_weak_hypothesis(m, kappas, expect):
     assert check_weak_hypothesis(make_profile_snarl(m, kappas)) is expect
 
 
+def test_empty_snarl_meets_both_hypotheses():
+    for m in (2, 4):
+        s = Snarl(m, [])
+        assert check_strong_hypothesis(s) is True
+        assert check_weak_hypothesis(s) is True
+
+
 def test_intersect_indexed(cltt_snarl):
     assert intersect_indexed(cltt_snarl, ["pi1"]) == cltt_snarl.subspace("pi1")
     assert intersect_indexed(cltt_snarl, ["pi0", "pi1"]).is_zero()
@@ -177,6 +184,11 @@ def test_onedim_general_position_permutation_invariant():
     forward = is_onedim_general_position(Snarl(3, entries))
     backward = is_onedim_general_position(Snarl(3, entries[::-1]))
     assert forward == backward
+
+
+def test_onedim_general_position_empty_snarl():
+    for m in (2, 4):
+        assert is_onedim_general_position(Snarl(m, [])) is True
 
 
 def test_onedim_rejects_higher_codim(cltt_snarl):
