@@ -3,7 +3,7 @@ kernels, subspace intersections/sums, and seeded generic subspace sampling.
 
 All arithmetic uses fractions.Fraction, so every rank / membership decision
 here is exact.  Subspaces are kept in reduced row-echelon basis form, which
-makes subspace equality plain representation equality.
+makes equality plain representation equality and annihilators a read-off.
 """
 
 from __future__ import annotations
@@ -163,19 +163,9 @@ def rank(M: Mat) -> int:
     return rref(M)[1]
 
 
-def kernel_basis(M: Mat) -> list[list[Fraction]]:
-    """Basis of {v : Mv = 0}, read off the reduced echelon form."""
-    R, rk, pivots = rref(M)
-    n = M.cols
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -R.entries[i][fc]
-        basis.append(v)
-    return basis
+def kernel_basis(M: Mat) -> tuple[tuple[Fraction, ...], ...]:
+    """Basis of {v : Mv = 0}, the annihilator of M's row space."""
+    return constraint_matrix(Subspace(M.cols, M.entries)).entries
 
 
 def solve(A: Mat, b: Sequence[Fraction]) -> list[Fraction] | None:
@@ -276,10 +266,22 @@ def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
 def constraint_matrix(S: Subspace) -> Mat:
     """A (codim x m) matrix whose kernel is exactly S.
 
-    Rows are a canonical basis of the annihilator of S, so any linear map
-    with nullspace S is row-equivalent to this one.
+    Rows are a canonical basis of the annihilator of S, read off the
+    reduced basis with no elimination: each free column f gives the row
+    with 1 at f and minus column f of the basis at the pivots (each basis
+    row's first nonzero entry).  Any linear map with nullspace S is
+    row-equivalent to this one.
     """
-    return Mat(kernel_basis(S.basis_matrix()), cols=S.ambient_dim)
+    m = S.ambient_dim
+    pivots = [next(c for c, x in enumerate(row) if x) for row in S.basis]
+    rows = []
+    for f in (c for c in range(m) if c not in pivots):
+        v = [Fraction(0)] * m
+        v[f] = Fraction(1)
+        for row, pc in zip(S.basis, pivots):
+            v[pc] = -row[f]
+        rows.append(v)
+    return Mat(rows, cols=m)
 
 
 def random_subspace(m: int, dim: int, seed: int, coeff_bound: int = 10) -> Subspace:

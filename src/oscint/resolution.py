@@ -114,19 +114,17 @@ def _fresh_labels(used, count: int) -> list[str]:
     return out
 
 
-def _truncate(sub: Subspace, dim: int) -> Subspace:
-    # canonical choice when the generic intersection came out larger
-    return Subspace(sub.ambient_dim, sub.basis[:dim])
-
-
 def construct_transverse_splitting(s: Snarl, alpha0: str, seed: int) -> SplittingStep:
-    """Build and exactly verify a transverse splitting of entry alpha0.
+    """Build a transverse splitting of entry alpha0.
 
-    W' and W'' are cut out of the partition intersections by random generic
-    subspaces U', U''; a draw whose intersections come out too small is
-    redrawn, and otherwise is_transverse_splitting alone accepts or rejects
-    it.  is_splitting's codimension sum already forces V0, W' and W'' to be
-    independent.  Rejected draws are retried with a fresh derived seed.
+    W' and W'' are cut from the partition intersections V_S1, V_S2 by
+    random generic subspaces, to kappa' + kappa'' = codim V0 dimensions.
+    A draw is accepted when V0 + W' + W'' is the whole space: as dim V0 +
+    kappa' + kappa'' = m, the sum is then direct, which is all is_splitting
+    decides here.  The rest of is_transverse_splitting holds by
+    construction (labels, untouched entries, the balanced partition, and
+    W' nonzero inside both V0+W' and V_S1, likewise W''); verify_resolution
+    decides it in full.  Rejected draws are retried with a fresh derived seed.
     """
     v0 = s.subspace(alpha0)
     kappa0 = v0.codim
@@ -147,6 +145,8 @@ def construct_transverse_splitting(s: Snarl, alpha0: str, seed: int) -> Splittin
         kp, kpp = k_lo, k_hi
     vs1 = intersect_indexed(s, s1)
     vs2 = intersect_indexed(s, s2)
+    beta1, beta2 = _fresh_labels(set(s.labels()), 2)
+    witness = SplitWitness(alpha0=alpha0, beta1=beta1, beta2=beta2, partition=(s1, s2))
 
     seeds_used: list[int] = []
     for attempt in range(SPLIT_MAX_RETRIES):
@@ -155,19 +155,13 @@ def construct_transverse_splitting(s: Snarl, alpha0: str, seed: int) -> Splittin
         seeds_used.extend([su, suu])
         u1 = random_subspace(m, min(ks1 + kp, m), su, coeff_bound=GENERIC_COEFF_BOUND)
         u2 = random_subspace(m, min(ks2 + kpp, m), suu, coeff_bound=GENERIC_COEFF_BOUND)
-        w1 = intersect(u1, vs1)
-        w2 = intersect(u2, vs2)
-        if w1.dim < kp or w2.dim < kpp:
+        # a canonical cut to kp (kpp) dims when the generic intersection is larger
+        w1 = Subspace(m, intersect(u1, vs1).basis[:kp])
+        w2 = Subspace(m, intersect(u2, vs2).basis[:kpp])
+        b1 = subspace_sum(v0, w1)
+        if not subspace_sum(b1, w2).is_full():
             continue
-        w1 = _truncate(w1, kp)
-        w2 = _truncate(w2, kpp)
-        beta1, beta2 = _fresh_labels(set(s.labels()), 2)
-        child = s.replace(alpha0, [(beta1, subspace_sum(v0, w1)),
-                                   (beta2, subspace_sum(v0, w2))])
-        witness = SplitWitness(alpha0=alpha0, beta1=beta1, beta2=beta2,
-                               partition=(s1, s2))
-        if not is_transverse_splitting(s, child, witness):
-            continue
+        child = s.replace(alpha0, [(beta1, b1), (beta2, subspace_sum(v0, w2))])
         return SplittingStep(
             parent=s, child=child, witness=witness,
             Wprime=w1, Wdoubleprime=w2,
@@ -244,7 +238,9 @@ def verify_resolution(r: Resolution) -> dict:
             "links_chain": (
                 step.parent == r.chain[k] and step.child == r.chain[k + 1]
                 and child.get(step.witness.beta1) == subspace_sum(v0, step.Wprime)
-                and child.get(step.witness.beta2) == subspace_sum(v0, step.Wdoubleprime)),
+                and child.get(step.witness.beta2) == subspace_sum(v0, step.Wdoubleprime)
+                and step.kappa_prime == step.Wprime.dim
+                and step.kappa_doubleprime == step.Wdoubleprime.dim),
             "transverse_splitting": is_transverse_splitting(step.parent, step.child,
                                                             step.witness),
             "codim_sum_conserved": sum(sub.codim for _, sub in step.child.entries) == total0,

@@ -1,12 +1,15 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from conftest import random_snarl
 from oscint import schemas
-from oscint.cli import main
-from oscint.records import TOOL_VERSION
+from oscint.cli import _run_resolve, main
+from oscint.records import TOOL_VERSION, canonical_json
+from oscint.snarl import snarl_to_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 RECORDS = FIXTURES / "records"
@@ -102,6 +105,18 @@ def test_resolve_deterministic_output(runner, tmp_path):
                                    "--seed", "9", "--out", str(out)])
         assert res.exit_code == 0
     assert (a / "resolution.json").read_text() == (b / "resolution.json").read_text()
+
+
+def test_resolve_outputs_pinned_on_seeded_snarls():
+    # the canonical resolve output (resolution and verification) of 40
+    # seeded snarls with m = 3..6, which no committed record covers
+    digest = hashlib.sha256()
+    for k in range(40):
+        snarl = snarl_to_json(random_snarl(3000 + k, m_range=(3, 6)))
+        output, _ = _run_resolve({"snarl": snarl, "seed": k})
+        digest.update(canonical_json(output).encode())
+    assert digest.hexdigest() == (
+        "28b0cc4a8af61cdc202e6164e723bde1c9b11556433396003b656547ad391bce")
 
 
 # --- degeneracy ------------------------------------------------------------

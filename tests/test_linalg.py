@@ -147,6 +147,50 @@ def test_intersect_matches_stacked_kernel_reference():
     assert all(n >= 10 for n in seen.values()), seen
 
 
+def _kernel_basis_by_elimination(M: Mat) -> list[list[Fraction]]:
+    """{v : Mv = 0} read off a fresh reduced echelon form of M."""
+    R, _, pivots = rref(M)
+    n = M.cols
+    basis = []
+    for fc in [c for c in range(n) if c not in pivots]:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -R.entries[i][fc]
+        basis.append(v)
+    return basis
+
+
+def test_annihilator_read_off_matches_elimination_reference():
+    rng = random.Random(11)
+    seen = {"zero": 0, "full": 0, "zero_row": 0, "tall": 0, "empty": 0}
+    for k in range(360):
+        m = 1 + k % 7
+        rows = rng.randint(0, m + 3)
+        # rank at most r: rows are combinations of r vectors, some of them zero
+        r = rng.randint(0, min(rows, m))
+        base = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+                for _ in range(r)]
+        entries = [[sum((rng.randint(-2, 2) * b[i] for b in base), Fraction(0))
+                    for i in range(m)] for _ in range(rows)]
+        if k % 3 == 0 and entries:
+            entries[rng.randrange(rows)] = [Fraction(0)] * m
+        if k % 5 == 0:
+            entries = [list(row) for row in Mat.identity(m).entries] + entries
+        M = Mat(entries, cols=m)
+        assert Mat(kernel_basis(M), cols=m) == Mat(_kernel_basis_by_elimination(M), cols=m)
+        S = Subspace(m, entries)
+        for T in (S, Subspace.zero(m), Subspace.full(m)):
+            expect = Mat(_kernel_basis_by_elimination(T.basis_matrix()), cols=m)
+            assert constraint_matrix(T) == expect, (k, T.basis)
+        seen["zero"] += S.is_zero()
+        seen["full"] += S.is_full()
+        seen["zero_row"] += any(not any(row) for row in M.entries)
+        seen["tall"] += M.rows > M.cols
+        seen["empty"] += M.rows == 0
+    assert all(n >= 10 for n in seen.values()), seen
+
+
 def test_empty_shapes_keep_their_width():
     R, rk, pivots = rref(Mat([], cols=3))
     assert (R, rk, pivots) == (Mat([], cols=3), 0, [])

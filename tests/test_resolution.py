@@ -1,9 +1,11 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import random_snarl
+from test_snarl import transverse_by_definition
 from oscint.linalg import (GenericityFailure, Mat, Subspace, intersect,
                            kernel, random_subspace, subspace_sum)
 from oscint.resolution import (
@@ -17,7 +19,10 @@ from oscint.resolution import (
     resolve,
     verify_resolution,
 )
-from oscint.snarl import Snarl, is_transverse_splitting
+from oscint.snarl import (Snarl, check_weak_hypothesis, intersect_indexed,
+                          is_transverse_splitting)
+
+RECORDS = Path(__file__).resolve().parent.parent / "fixtures" / "records"
 
 
 def test_balance_partition_worked_example():
@@ -60,6 +65,34 @@ def test_construct_genericity_failure_on_repeated_subspace():
     s = Snarl(4, [("a", v), ("b", v), ("c", v)])
     with pytest.raises(GenericityFailure):
         construct_transverse_splitting(s, "a", seed=0)
+
+
+def test_construct_genericity_failure_when_block_meets_trivially():
+    # V0 a line of Q^3, block S1 a line and a plane meeting only in 0: W'
+    # lies in V_S1 = {0}, so V0 + W' + W'' is never the whole space.  The
+    # snarl breaks the weak hypothesis, so only this API can reach it.
+    s = Snarl(3, [("a", kernel(Mat([[0, 1, 0], [0, 0, 1]]))),
+                  ("b", kernel(Mat([[1, 0, 0], [0, 0, 1]]))),
+                  ("c", kernel(Mat([[1, 0, 0], [0, 1, 0]]))),
+                  ("d", kernel(Mat([[1, 1, 1]])))])
+    assert not check_weak_hypothesis(s)
+    s1, _ = balance_partition([(lab, sub.codim) for lab, sub in s.entries], "a")
+    assert s1 == {"b", "d"} and intersect_indexed(s, s1).is_zero()
+    with pytest.raises(GenericityFailure):
+        construct_transverse_splitting(s, "a", seed=0)
+
+
+def test_constructed_steps_match_definition():
+    steps = 0
+    for k in range(300):
+        for step in resolve(random_snarl(2000 + k, m_range=(3, 6)), seed=k).steps:
+            w1, w2 = step.Wprime, step.Wdoubleprime
+            v0 = step.parent.subspace(step.witness.alpha0)
+            assert transverse_by_definition(step.parent, step.child, step.witness), k
+            assert intersect(w1, w2).is_zero(), k
+            assert intersect(subspace_sum(w1, w2), v0).is_zero(), k
+            steps += 1
+    assert steps > 300
 
 
 def test_resolve_worked_example(cltt_snarl):
@@ -151,6 +184,17 @@ def test_verify_resolution_ties_w_to_child_entries(cltt_snarl):
     assert verify_resolution(r)["passed"]
     r.steps[0] = dataclasses.replace(r.steps[0], Wprime=random_subspace(4, 1, 12345))
     rep = verify_resolution(r)
+    assert not rep["passed"]
+    checks = rep["steps"][0]["checks"]
+    assert [name for name, ok in checks.items() if not ok] == ["links_chain"]
+
+
+def test_verify_resolution_checks_recorded_kappas():
+    obj = json.loads((RECORDS / "cltt-example-seed0.record.json").read_text())
+    res = obj["output"]["resolution"]
+    assert verify_resolution(resolution_from_json(res))["passed"]
+    res["steps"][0].update(kappa_prime=3, kappa_doubleprime=0)
+    rep = verify_resolution(resolution_from_json(res))
     assert not rep["passed"]
     checks = rep["steps"][0]["checks"]
     assert [name for name, ok in checks.items() if not ok] == ["links_chain"]
