@@ -1,15 +1,22 @@
-"""Exact rational linear algebra over Q: matrices, reduced echelon forms,
-kernels, subspace intersections/sums, and seeded generic subspace sampling.
+"""Exact linear algebra over Q: matrices, reduced echelon forms, kernels,
+subspace intersections/sums, and seeded generic subspace sampling.
 
-All arithmetic uses fractions.Fraction, so every rank / membership decision
-here is exact.  Subspaces are kept in reduced row-echelon basis form, which
-makes equality plain representation equality and annihilators a read-off.
+Every rank / membership decision here is exact.  A subspace is kept as
+primitive integer rows: each row of its reduced row-echelon basis scaled
+to coprime integers with a positive pivot.  That form is as canonical as
+the reduced basis, so equality of subspaces is equality of
+representations, and sums, intersections and annihilators run on Python
+ints through one fraction-free Gauss-Jordan reduction.  Fractions appear
+only at the boundaries: Mat entries, Subspace.basis (the reduced rows the
+JSON wire formats and the polynomial layer read), and the Factorisation
+that solve replays.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -148,10 +155,57 @@ def _eliminate(M: Mat) -> tuple[list[list[Fraction]], Factorisation]:
     return a, Factorisation(nrows, ncols, tuple(pivots), tuple(steps))
 
 
+def _int_row(row: Sequence) -> list[int]:
+    """A rational row scaled by the lcm of its denominators."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    row = [_frac(x) for x in row]
+    d = lcm(*[x.denominator for x in row])
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def _reduce(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple, tuple]:
+    """Fraction-free Gauss-Jordan reduction of integer rows (FFGJ: Bareiss,
+    Math. Comp. 22 (1968); Nakos, Turner and Williams, SIGSAM Bull. 31
+    (1997)).
+
+    Each step cross-multiplies every other row by the pivot and divides it
+    exactly by the previous pivot, so every entry stays a minor of the
+    input.  Returns the nonzero rows made primitive with positive pivots,
+    each a positive multiple of the matching reduced row-echelon row, and
+    their pivot columns.
+    """
+    a = [row for row in rows if any(row)]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        p = prow[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = p
+        pivots.append(c)
+    out = []
+    for row, c in zip(a, pivots):
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        out.append(tuple(x // g for x in row))
+    return tuple(out), tuple(pivots)
+
+
 def rref(M: Mat) -> tuple[Mat, int, list[int]]:
     """Reduced row echelon form; returns (R, rank, pivot_cols)."""
-    a, F = _eliminate(M)
-    return Mat(a, cols=M.cols), len(F.pivots), list(F.pivots)
+    S = Subspace(M.cols, M.entries)
+    R = S.basis + ((Fraction(0),) * M.cols,) * (M.rows - S.dim)
+    return Mat(R, cols=M.cols), S.dim, list(S.pivots)
 
 
 def factor(M: Mat) -> Factorisation:
@@ -160,7 +214,7 @@ def factor(M: Mat) -> Factorisation:
 
 
 def rank(M: Mat) -> int:
-    return rref(M)[1]
+    return Subspace(M.cols, M.entries).dim
 
 
 def kernel_basis(M: Mat) -> tuple[tuple[Fraction, ...], ...]:
@@ -180,35 +234,51 @@ def solve(A: Mat, b: Sequence[Fraction]) -> list[Fraction] | None:
 
 
 class Subspace:
-    """Linear subspace of Q^m, stored as a reduced row-echelon basis
-    (a tuple of tuples, so it cannot be modified in place; do not rebind
-    its attributes).
+    """Linear subspace of Q^m in canonical form: `rows` are the rows of its
+    reduced row-echelon basis, each scaled to coprime integers with a
+    positive pivot, and `pivots` their pivot columns.  Both are tuples, so
+    they cannot be modified in place; do not rebind attributes.
 
     The canonical form makes equality of subspaces equality of
     representations, which every general-position predicate relies on.
+    Vectors given to the constructor may be rational; each has its
+    denominators cleared on entry.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
-        M = Mat(vectors, cols=ambient_dim)
-        if M.cols != ambient_dim:
+        rows = [_int_row(v) for v in vectors]
+        if any(len(row) != ambient_dim for row in rows):
             raise ValueError("vector length != ambient dimension")
-        R, rk, _ = rref(M)
-        self.basis = R.entries[:rk]
         self.ambient_dim = ambient_dim
+        self.rows, self.pivots = _reduce(rows, ambient_dim)
+
+    @staticmethod
+    def _canonical(m: int, rows, pivots) -> "Subspace":
+        """The subspace whose canonical rows and pivots these already are."""
+        S = object.__new__(Subspace)
+        S.ambient_dim, S.rows, S.pivots = m, tuple(rows), tuple(pivots)
+        return S
 
     @staticmethod
     def zero(m: int) -> "Subspace":
-        return Subspace(m, [])
+        return Subspace._canonical(m, (), ())
 
     @staticmethod
     def full(m: int) -> "Subspace":
-        return Subspace(m, Mat.identity(m).entries)
+        return Subspace._canonical(
+            m, (tuple(int(i == j) for j in range(m)) for i in range(m)), range(m))
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The reduced row-echelon basis: each row divided by its pivot."""
+        return tuple(tuple(Fraction(x, row[c]) for x in row)
+                     for row, c in zip(self.rows, self.pivots))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def codim(self) -> int:
@@ -218,11 +288,11 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"Subspace(m={self.ambient_dim}, dim={self.dim})"
@@ -236,10 +306,47 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
+    def head(self, k: int) -> "Subspace":
+        """The span of the first k canonical rows, with no elimination: a
+        prefix of a reduced basis is reduced."""
+        return Subspace._canonical(self.ambient_dim, self.rows[:k], self.pivots[:k])
+
+    def annihilator(self) -> "Subspace":
+        """{v : v·s = 0 for every s in this subspace}, in canonical form."""
+        return _span(self.ambient_dim, _annihilator(self)[0])
+
+
+def _span(m: int, rows: Sequence[Sequence[int]]) -> Subspace:
+    """The subspace of Q^m spanned by integer rows of length m."""
+    return Subspace._canonical(m, *_reduce(rows, m))
+
+
+def _annihilator(S: Subspace) -> tuple[list[list[int]], int]:
+    """Integer rows spanning the annihilator of S, and their scale L.
+
+    Read off the canonical rows with no elimination: with L the lcm of the
+    pivot entries, each free column f gives the row with L at f and
+    -L * row[f] / row[pivot] at each basis row's pivot column.  Divided by
+    L, these are the rows of constraint_matrix.
+    """
+    m = S.ambient_dim
+    L = lcm(*[row[c] for row, c in zip(S.rows, S.pivots)])
+    scaled = [(c, row, L // row[c]) for row, c in zip(S.rows, S.pivots)]
+    out = []
+    for f in range(m):
+        if f in S.pivots:
+            continue
+        v = [0] * m
+        v[f] = L
+        for c, row, s in scaled:
+            v[c] = -s * row[f]
+        out.append(v)
+    return out, L
+
 
 def kernel(M: Mat) -> Subspace:
     """The nullspace of M as a Subspace of Q^cols."""
-    return Subspace(M.cols, kernel_basis(M))
+    return Subspace(M.cols, M.entries).annihilator()
 
 
 def intersect(A: Subspace, B: Subspace) -> Subspace:
@@ -250,38 +357,31 @@ def intersect(A: Subspace, B: Subspace) -> Subspace:
         return B
     if B.is_full():
         return A
-    # x = c·basisA lies in B  <=>  B's equations vanish on it
-    basis = A.basis_matrix()
-    coeffs = kernel_basis(constraint_matrix(B).matmul(basis.transpose()))
-    return Subspace(A.ambient_dim, Mat(coeffs, cols=A.dim).matmul(basis).entries)
+    # x = c·rowsA lies in B  <=>  B's equations vanish on it
+    eqs = [[sum(map(int.__mul__, e, a)) for a in A.rows] for e in _annihilator(B)[0]]
+    coeffs = _annihilator(_span(A.dim, eqs))[0]
+    cols = list(zip(*A.rows))
+    return _span(A.ambient_dim, [[sum(map(int.__mul__, c, col)) for col in cols]
+                                 for c in coeffs])
 
 
 def subspace_sum(A: Subspace, B: Subspace) -> Subspace:
     """A + B, the span of both bases."""
     if A.ambient_dim != B.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace(A.ambient_dim, A.basis + B.basis)
+    return _span(A.ambient_dim, A.rows + B.rows)
 
 
 def constraint_matrix(S: Subspace) -> Mat:
     """A (codim x m) matrix whose kernel is exactly S.
 
     Rows are a canonical basis of the annihilator of S, read off the
-    reduced basis with no elimination: each free column f gives the row
-    with 1 at f and minus column f of the basis at the pivots (each basis
-    row's first nonzero entry).  Any linear map with nullspace S is
-    row-equivalent to this one.
+    canonical rows with no elimination: each free column f gives the row
+    with 1 at f and minus column f of the reduced basis at the pivots.
+    Any linear map with nullspace S is row-equivalent to this one.
     """
-    m = S.ambient_dim
-    pivots = [next(c for c, x in enumerate(row) if x) for row in S.basis]
-    rows = []
-    for f in (c for c in range(m) if c not in pivots):
-        v = [Fraction(0)] * m
-        v[f] = Fraction(1)
-        for row, pc in zip(S.basis, pivots):
-            v[pc] = -row[f]
-        rows.append(v)
-    return Mat(rows, cols=m)
+    rows, L = _annihilator(S)
+    return Mat([[Fraction(x, L) for x in v] for v in rows], cols=S.ambient_dim)
 
 
 def random_subspace(m: int, dim: int, seed: int, coeff_bound: int = 10) -> Subspace:
@@ -296,7 +396,7 @@ def random_subspace(m: int, dim: int, seed: int, coeff_bound: int = 10) -> Subsp
         raise ValueError("coeff_bound must be >= 1")
     rng = random.Random(seed)
     for _ in range(RANDOM_SUBSPACE_MAX_DRAWS):
-        vecs = [[Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(m)]
+        vecs = [[rng.randint(-coeff_bound, coeff_bound) for _ in range(m)]
                 for _ in range(dim)]
         sub = Subspace(m, vecs)
         if sub.dim == dim:

@@ -156,8 +156,8 @@ def construct_transverse_splitting(s: Snarl, alpha0: str, seed: int) -> Splittin
         u1 = random_subspace(m, min(ks1 + kp, m), su, coeff_bound=GENERIC_COEFF_BOUND)
         u2 = random_subspace(m, min(ks2 + kpp, m), suu, coeff_bound=GENERIC_COEFF_BOUND)
         # a canonical cut to kp (kpp) dims when the generic intersection is larger
-        w1 = Subspace(m, intersect(u1, vs1).basis[:kp])
-        w2 = Subspace(m, intersect(u2, vs2).basis[:kpp])
+        w1 = intersect(u1, vs1).head(kp)
+        w2 = intersect(u2, vs2).head(kpp)
         b1 = subspace_sum(v0, w1)
         if not subspace_sum(b1, w2).is_full():
             continue
@@ -255,9 +255,10 @@ def verify_resolution(r: Resolution) -> dict:
         ok = ok and passed
         step_reports.append({"step": k, "passed": passed, "checks": checks})
     terminal_ok = all(sub.codim == 1 for _, sub in r.terminal.entries)
-    ok = ok and terminal_ok
+    general = terminal_ok and is_onedim_general_position(r.terminal)
+    ok = ok and terminal_ok and general == r.terminal_general_position
     return {"passed": ok, "terminal_one_dimensional": terminal_ok,
-            "terminal_general_position": r.terminal_general_position,
+            "terminal_general_position": general,
             "steps": step_reports}
 
 

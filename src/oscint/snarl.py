@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Mat, Subspace, constraint_matrix, frac_str, intersect, rank
+from .linalg import Subspace, frac_str, intersect
 
 
 class NonOneDimensional(Exception):
@@ -168,10 +168,10 @@ def is_onedim_general_position(s: Snarl) -> bool:
     for label, sub in s.entries:
         if sub.codim != 1:
             raise NonOneDimensional(f"entry {label!r} has codimension {sub.codim}")
-        normals.append(constraint_matrix(sub).entries[0])
+        normals.append(sub.annihilator().rows[0])
     k = min(len(normals), m)
-    for subset in combinations(range(len(normals)), k):
-        if rank(Mat([normals[i] for i in subset])) != k:
+    for subset in combinations(normals, k):
+        if Subspace(m, subset).dim != k:
             return False
     return True
 

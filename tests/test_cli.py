@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from click.testing import CliRunner
 from conftest import random_snarl
 from oscint import schemas
 from oscint.cli import _run_resolve, main
+from oscint.linalg import Subspace, frac_str
 from oscint.records import TOOL_VERSION, canonical_json
 from oscint.snarl import snarl_to_json
 
@@ -117,6 +120,41 @@ def test_resolve_outputs_pinned_on_seeded_snarls():
         digest.update(canonical_json(output).encode())
     assert digest.hexdigest() == (
         "28b0cc4a8af61cdc202e6164e723bde1c9b11556433396003b656547ad391bce")
+
+
+RATIONAL_SHAPES = [(3, (2, 1, 1)), (4, (2, 2, 1)), (4, (3, 1, 1)), (5, (2, 2, 2)),
+                   (5, (4, 1, 1)), (5, (1, 1, 1, 3)), (6, (3, 3, 2, 1))]
+
+
+def _rational_snarl_json(seed: int) -> dict:
+    """A generic snarl whose JSON bases are random rationals p/q, q <= 100,
+    in no echelon form: the denominators are cleared on entry and the
+    reduced rows come back as p/q on the way out."""
+    rng = random.Random(seed)
+    m, kappas = RATIONAL_SHAPES[seed % len(RATIONAL_SHAPES)]
+    subspaces = []
+    for j, kappa in enumerate(kappas):
+        while True:
+            basis = [[Fraction(rng.randint(-9, 9), rng.randint(1, 100)) for _ in range(m)]
+                     for _ in range(m - kappa)]
+            if Subspace(m, basis).dim == m - kappa:
+                break
+        subspaces.append({"label": f"v{j}",
+                          "basis": [[frac_str(x) for x in v] for v in basis]})
+    return {"m": m, "subspaces": subspaces}
+
+
+def test_resolve_outputs_pinned_on_rational_bases():
+    # the canonical resolve output of 10 snarls given by non-integer bases
+    digest = hashlib.sha256()
+    for k in range(10):
+        snarl = _rational_snarl_json(700 + k)
+        assert any("/" in x for e in snarl["subspaces"] for v in e["basis"] for x in v)
+        output, _ = _run_resolve({"snarl": snarl, "seed": k})
+        assert output["verification"]["passed"]
+        digest.update(canonical_json(output).encode())
+    assert digest.hexdigest() == (
+        "dad3dfd0cd6fd919a49217a2b3b784fd43c28ebd74c6a6c67dcabc2f0c6bf299")
 
 
 # --- degeneracy ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -345,3 +346,130 @@ def test_basis_entries_stay_reduced(S):
         for x in v:
             assert isinstance(x, Fraction)
             assert x.denominator > 0
+
+
+# --- the Fraction subspace layer that the integer rows replaced --------------
+
+def _frac_gauss_jordan(entries, m):
+    """Gauss-Jordan over Fractions, first nonzero pivot in each column:
+    (every row of the reduced form, pivot columns)."""
+    a = [[Fraction(x) for x in row] for row in entries]
+    pivots = []
+    for c in range(m):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        head = a[r][c]
+        a[r] = [x / head for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _frac_basis(m, vectors):
+    a, pivots = _frac_gauss_jordan(vectors, m)
+    return tuple(tuple(row) for row in a[:len(pivots)])
+
+
+def _frac_constraint(m, basis):
+    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+    rows = []
+    for f in (c for c in range(m) if c not in pivots):
+        v = [Fraction(0)] * m
+        v[f] = Fraction(1)
+        for row, pc in zip(basis, pivots):
+            v[pc] = -row[f]
+        rows.append(tuple(v))
+    return tuple(rows)
+
+
+def _frac_intersect(m, A, B):
+    if len(A) == m:
+        return B
+    if len(B) == m:
+        return A
+    eqs = [[sum((e[i] * a[i] for i in range(m)), Fraction(0)) for a in A]
+           for e in _frac_constraint(m, B)]
+    coeffs = _frac_constraint(len(A), _frac_basis(len(A), eqs))
+    return _frac_basis(m, [[sum((c[k] * A[k][i] for k in range(len(A))), Fraction(0))
+                            for i in range(m)] for c in coeffs])
+
+
+def _rational_rows(rng, m):
+    """0..m+3 rows of rank <= m with denominators up to 100, some of them
+    zero; every fifth draw spans the whole space."""
+    n = rng.randint(0, m + 3)
+    base = [[Fraction(rng.randint(-9, 9), rng.randint(1, 100)) for _ in range(m)]
+            for _ in range(rng.randint(0, min(n, m)))]
+    rows = [[sum((rng.randint(-2, 2) * b[i] for b in base), Fraction(0)) for i in range(m)]
+            for _ in range(n)]
+    if rows and rng.random() < 0.3:
+        rows[rng.randrange(n)] = [Fraction(0)] * m
+    if rng.random() < 0.2:
+        rows += [[Fraction(int(i == j), rng.randint(1, 100)) for j in range(m)]
+                 for i in range(m)]
+    return rows
+
+
+def test_integer_rows_match_fraction_reference():
+    rng = random.Random(12)
+    seen = {"zero": 0, "full": 0, "zero_row": 0, "tall": 0, "meet": 0}
+    for k in range(300):
+        m = 1 + k % 7
+        a, b = _rational_rows(rng, m), _rational_rows(rng, m)
+        if k % 2 and a:  # make the pair share a vector
+            b.append(a[0])
+        M = Mat(a, cols=m)
+        R, pivots = _frac_gauss_jordan(a, m)
+        assert rref(M) == (Mat(R, cols=m), len(pivots), pivots), (k, a)
+        assert rank(M) == len(pivots)
+        A, B = Subspace(m, a), Subspace(m, b)
+        ra, rb = _frac_basis(m, a), _frac_basis(m, b)
+        assert A.basis == ra and B.basis == rb, (k, a, b)
+        assert A.pivots == tuple(pivots)
+        assert constraint_matrix(A).entries == _frac_constraint(m, ra)
+        assert kernel_basis(M) == _frac_constraint(m, ra)
+        meet = intersect(A, B)
+        assert meet.basis == _frac_intersect(m, ra, rb), (k, a, b)
+        assert intersect(B, A) == meet
+        assert subspace_sum(A, B).basis == _frac_basis(m, ra + rb), (k, a, b)
+        seen["zero"] += A.is_zero()
+        seen["full"] += A.is_full()
+        seen["zero_row"] += any(not any(row) for row in a)
+        seen["tall"] += len(a) > m
+        seen["meet"] += meet.dim > 0 and not (A.is_full() or B.is_full())
+    assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_subspace_canonical_form_is_primitive_integer_rows():
+    rng = random.Random(13)
+    for k in range(200):
+        m = 1 + k % 7
+        vecs = _rational_rows(rng, m)
+        S = Subspace(m, vecs)
+        assert len(S.pivots) == S.dim
+        for row, c in zip(S.rows, S.pivots):
+            assert type(row) is tuple and all(type(x) is int for x in row)
+            assert row[c] > 0 and not any(row[:c])
+            assert math.gcd(*row) == 1
+            # zero at every other pivot column: a multiple of the reduced row
+            assert all(row[d] == 0 for d in S.pivots if d != c)
+        if S.rows:
+            with pytest.raises(TypeError):
+                S.rows[0] = S.rows[0]
+            with pytest.raises(TypeError):
+                S.rows[0][0] = 1
+        # another spanning set, rescaled by rationals, with a combination added
+        scales = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 50))
+                  for _ in vecs]
+        other = [[s * x for x in v] for s, v in zip(scales, vecs)]
+        if vecs:
+            other.append([x + y for x, y in zip(vecs[0], vecs[-1])])
+        rng.shuffle(other)
+        T = Subspace(m, other)
+        assert T == S and hash(T) == hash(S)

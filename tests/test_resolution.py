@@ -200,6 +200,17 @@ def test_verify_resolution_checks_recorded_kappas():
     assert [name for name, ok in checks.items() if not ok] == ["links_chain"]
 
 
+def test_verify_resolution_decides_terminal_general_position():
+    obj = json.loads((RECORDS / "cltt-example-seed0.record.json").read_text())
+    res = obj["output"]["resolution"]
+    assert res["terminal_general_position"] is True
+    res["terminal_general_position"] = False
+    rep = verify_resolution(resolution_from_json(res))
+    assert not rep["passed"]
+    assert rep["terminal_general_position"] is True
+    assert all(step["passed"] for step in rep["steps"])
+
+
 def test_verify_empty_chain():
     s = Snarl(3, [("a", kernel(Mat([[1, 2, 3]])))])
     r = resolve(s, seed=0)
