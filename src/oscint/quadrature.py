@@ -2,12 +2,21 @@
 of exp(i*lambda*P(x)) * prod_j f_j(pi_j x) over a box, lambda sweeps,
 power-law decay fits, and the modulated bump factors that cancel a
 degenerate phase exactly.
+
+When the axes split into groups that no term of P and no map couples, the
+integrand is a product of one factor per group, and the tensor-rule sum
+over the full grid is the product of the sums over each group's sub-grid
+(Fubini for a product rule).  The quadrature sums each group on its own
+sub-grid; node counts, caps and the convergence test are those of the
+full grid.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -195,8 +204,9 @@ def _linear_form(row: np.ndarray, xs: Sequence[np.ndarray]):
 
 
 def _chunk_sums(p: MultiPoly, pis: Sequence[np.ndarray], fs: Sequence[BumpSpec],
-                axes, block, freqs: Sequence[tuple[float, Sequence[float]]]) -> np.ndarray:
-    """Partial sums over one block of the grid (see _blocks), one per row.
+                axes, freqs: Sequence[tuple[float, Sequence[float]]], block) -> np.ndarray:
+    """Partial sums over one block of a group's sub-grid (see _blocks and
+    _factors), one per row; P, the maps and the bumps are the group's own.
 
     Axis i's nodes and weights enter as an array that is long along axis
     i and of length 1 along the others, so P, each Q_j o pi_j and each
@@ -238,6 +248,51 @@ def _chunk_sums(p: MultiPoly, pis: Sequence[np.ndarray], fs: Sequence[BumpSpec],
     return sums
 
 
+def _factors(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec]):
+    """The integrand as a product of factors on disjoint groups of axes.
+
+    Union-find on exact supports joins axes that appear together in a term
+    of P or that any row of the same map reads.  Each group, ordered by its
+    smallest axis, gets its terms of P (the constant term goes to the first
+    group, as does a map that reads no axis), its maps' columns as floats,
+    its bumps, and the positions of their frequencies among the modulated
+    bumps.  One group is the whole integrand with its terms in their order.
+    Returns (axes, P, maps, bumps, mu positions) per group.
+    """
+    m = p.num_vars
+    parent = list(range(m))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    term_axes = [[i for i, e in enumerate(exps) if e] for exps in p.terms]
+    map_axes = [[c for c in range(m) if any(row[c] for row in pi.entries)] for pi in pis]
+    for support in term_axes + map_axes:
+        for i in support[1:]:
+            parent[root(i)] = root(support[0])
+    roots = [root(i) for i in range(m)]
+    groups = list(dict.fromkeys(roots))
+
+    def group(support):
+        return groups.index(roots[support[0]]) if support else 0
+
+    modulated = [j for j, f in enumerate(fs) if f.modulation is not None]
+    out = []
+    for g, r in enumerate(groups):
+        axes = [i for i in range(m) if roots[i] == r]
+        terms = {tuple(exps[i] for i in axes): c
+                 for (exps, c), support in zip(p.terms.items(), term_axes)
+                 if group(support) == g}
+        js = [j for j, support in enumerate(map_axes) if group(support) == g]
+        maps = [np.array([[float(row[i]) for i in axes] for row in pis[j].entries])
+                for j in js]
+        mus = [modulated.index(j) for j in js if j in modulated]
+        out.append((axes, MultiPoly(len(axes), terms), maps, [fs[j] for j in js], mus))
+    return out
+
+
 def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
             cfg: QuadConfig, freqs: Sequence[tuple[float, Sequence[float]]]
             ) -> list[tuple[complex, int] | NodeCapExceeded]:
@@ -245,11 +300,19 @@ def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     level: the nodes per axis double until a row's relative change drops
     below cfg.refine_tol, and converged rows drop out.
 
-    Each level is summed block by block (see _blocks), each block at most
-    CHUNK_LIMIT points of the tensor grid.  OSCINT_THREADS sets how many
-    threads evaluate the blocks, and the per-block partial sums are
-    combined by a correctly rounded sum, so the result does not depend on
-    the thread count.  Returns, per row, (value, nodes per axis) or the
+    The integrand is split into factors on independent axis groups (see
+    _factors); at each level every group is summed on its own sub-grid of
+    n**len(axes) points, and a row's estimate is the product of its group
+    sums, in group order.  Nodes per axis, the cap and the convergence
+    test are those of the full m-dimensional grid; only the number of
+    points evaluated changes.  With one group the estimate is that group's
+    sum, and the operations are those of a plain full-grid sum.
+
+    Each sub-grid is summed block by block (see _blocks), each block at
+    most CHUNK_LIMIT points.  OSCINT_THREADS sets how many threads
+    evaluate the blocks, and each group's block sums are combined by a
+    correctly rounded sum, so the result does not depend on the thread
+    count.  Returns, per row, (value, nodes per axis) or the
     NodeCapExceeded that ended it.
     """
     if len(fs) != len(pis):
@@ -258,9 +321,11 @@ def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     if p.num_vars != m:
         raise ValueError("phase variable count != domain dimension")
     for pi, f in zip(pis, fs):
+        if pi.cols != m:
+            raise ValueError(f"map has {pi.cols} columns but the phase has {m} variables")
         if pi.rows != len(f.box):
             raise ValueError("bump box dimension != map target dimension")
-    pis_f = [pi.to_float_array() for pi in pis]
+    factors = _factors(p, pis, fs)
     cap = cfg.node_cap()
     n = cfg.nodes_per_axis
     prev: list[Optional[complex]] = [None] * len(freqs)
@@ -269,13 +334,18 @@ def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     # One pool serves every thread count.
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         while active:
-            axes = [_axis_rule(float(lo), float(hi), n, cfg.rule)
-                    for lo, hi in cfg.domain_box]
+            rules = [_axis_rule(float(lo), float(hi), n, cfg.rule)
+                     for lo, hi in cfg.domain_box]
             level = [freqs[r] for r in active]
-            parts = np.array(list(pool.map(
-                lambda block: _chunk_sums(p, pis_f, fs, axes, block, level),
-                _blocks(n, m))))
-            vals = [complex(math.fsum(col.real), math.fsum(col.imag)) for col in parts.T]
+            group_sums = []
+            for axes, pg, maps, bumps, mu_pos in factors:
+                kernel = functools.partial(
+                    _chunk_sums, pg, maps, bumps, [rules[i] for i in axes],
+                    [(lam, [mus[k] for k in mu_pos]) for lam, mus in level])
+                parts = np.array(list(pool.map(kernel, _blocks(n, len(axes)))))
+                group_sums.append([complex(math.fsum(col.real), math.fsum(col.imag))
+                                   for col in parts.T])
+            vals = [functools.reduce(operator.mul, sums) for sums in zip(*group_sums)]
             still = []
             for r, val in zip(active, vals):
                 if prev[r] is not None:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from .linalg import Subspace, frac_str, intersect
+from .linalg import Subspace, intersect
 
 
 class NonOneDimensional(Exception):
@@ -181,7 +182,18 @@ def is_onedim_general_position(s: Snarl) -> bool:
 
 
 def subspace_to_json(sub: Subspace) -> list[list[str]]:
-    return [[frac_str(x) for x in v] for v in sub.basis]
+    """The reduced basis as "p" / "p/q" strings (frac_str of each entry of
+    sub.basis), formatted from the integer rows: entry x of a row with
+    pivot value d is x/d in lowest terms, and d > 0."""
+    out = []
+    for row, c in zip(sub.rows, sub.pivots):
+        d = row[c]
+        entries = []
+        for x in row:
+            g = gcd(x, d)
+            entries.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+        out.append(entries)
+    return out
 
 
 def snarl_to_json(s: Snarl) -> dict:

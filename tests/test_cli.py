@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from conftest import random_snarl
 from oscint import schemas
-from oscint.cli import _run_resolve, main
+from oscint.cli import _run_resolve, _run_sweep, main
 from oscint.linalg import Subspace, frac_str
 from oscint.records import TOOL_VERSION, canonical_json
 from oscint.snarl import snarl_to_json
@@ -205,6 +205,32 @@ def test_sweep_demo(runner, tmp_path):
     assert len(lines) == 6
     assert (tmp_path / "sweep.json").exists()
     assert (tmp_path / "sweep.record.json").exists()
+
+
+def test_sweep_demo_rows_pinned():
+    # one axis group (P = x1*x2 couples both axes): the rows must keep the
+    # exact values of a plain full-grid sum, bit for bit
+    _, result = _run_sweep({"runspec": read_json(FIXTURES / "demo-sweep.json"),
+                            "adversarial": False})
+    assert [repr((r.value, r.abs, r.nodes)) for r in result.rows] == [
+        "((-0.007206642187797913+0.0060762017738290605j), 0.009426341794101893, 128)",
+        "((-0.00047305177363387007-0.00039410211549178445j), 0.0006157064706280502, 128)",
+        "((7.377581119807743e-06-1.0186023166851984e-05j), 1.2577112988877415e-05, 256)",
+        "((1.8656259881162474e-08+6.427140005541771e-08j), 6.692435205391996e-08, 1024)",
+        "((3.822113203173441e-12-3.6992929992877204e-11j), 3.7189856396546984e-11, 2048)",
+    ]
+
+
+@pytest.mark.parametrize("row", [["1", "0", "5"], ["1"]])
+def test_sweep_map_column_count_mismatch_exit_1(runner, tmp_path, row):
+    spec = read_json(FIXTURES / "demo-sweep.json")
+    spec["maps"][0]["rows"] = [row]
+    path = tmp_path / "spec.json"
+    write_json(path, spec)
+    res = runner.invoke(main, ["sweep", str(path), "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 1
+    assert f"map has {len(row)} columns" in all_output(res)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_adversarial_flat(runner, tmp_path):

@@ -240,6 +240,48 @@ def test_block_kernel_small_chunk_limit(rule, limit, monkeypatch):
         lambda X: _bump(X[0], 0.0, 1.0) * _bump(X[1] + X[2], 0.0, 2.0))
 
 
+def _grouped_case():
+    """A 5-d integrand in four axis groups: {x0, x1} (the term x0*x1 and
+    a modulated bump on the row x0 + x1), {x2} (x2^2 and a bump), {x3}
+    (nothing reads it: its factor is the length 3 of its interval) and
+    {x4} (a linear term and a bump on 2*x4); P has a constant term."""
+    p = MultiPoly(5, {(1, 1, 0, 0, 0): 1, (0, 0, 2, 0, 0): -2,
+                      (0, 0, 0, 0, 0): Fraction(7, 10), (0, 0, 0, 0, 1): 3})
+    q = MultiPoly(1, {(2,): 1})
+    pis = [Mat([[1, 1, 0, 0, 0]]), Mat([[0, 0, 1, 0, 0]]), Mat([[0, 0, 0, 0, 2]])]
+    fs = [BumpSpec(box=[(0, 2)], modulation=(q, 3.0)), BumpSpec(box=[(0, 1)]),
+          BumpSpec(box=[(0, 2)])]
+    domain = [(0, 1), (0, 1), (0, 1), (-1, 2), (0, 1)]
+    return p, pis, fs, domain
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre", "midpoint"])
+def test_group_product_matches_full_grid(rule):
+    p, pis, fs, domain = _grouped_case()
+    assert [axes for axes, *_ in quadrature._factors(p, pis, fs)] == [[0, 1], [2], [3], [4]]
+    _assert_level_matches(
+        p, pis, fs, domain, 12, rule,
+        lambda X: (X[0] * X[1] - 2 * X[2] ** 2 + 0.7 + 3 * X[4],
+                   -3.0 * (X[0] + X[1]) ** 2),
+        lambda X: (_bump(X[0] + X[1], 0.0, 2.0) * _bump(X[2], 0.0, 1.0)
+                   * _bump(2 * X[4], 0.0, 2.0)))
+
+
+def test_group_product_threads_match_serial(monkeypatch):
+    p, pis, fs, domain = _grouped_case()
+    monkeypatch.setattr(quadrature, "CHUNK_LIMIT", 16)  # several blocks per group
+    # the rows stop at 32, 64, 64 and the cap, 128
+    cfg = QuadConfig(domain_box=domain, nodes_per_axis=8, refine_tol=1e-4,
+                     max_nodes_per_axis=128)
+    lambdas = [1.0, 4.0, 16.0, 64.0]
+    monkeypatch.setenv("OSCINT_THREADS", "1")
+    serial = [(r.value, r.nodes, r.error) for r in sweep(p, pis, fs, lambdas, cfg).rows]
+    monkeypatch.setenv("OSCINT_THREADS", "2")
+    parallel = [(r.value, r.nodes, r.error) for r in sweep(p, pis, fs, lambdas, cfg).rows]
+    assert [nodes for _, nodes, _ in serial] == [32, 64, 64, 128]
+    assert parallel == serial
+
+
 def test_interior_critical_point_matches_stationary_phase():
     # P = x1*x2 with bumps a(s) = exp(-1/(1-s^2)) on [-1, 1]: one
     # nondegenerate critical point at 0, |det H| = 1, signature 0.  Since

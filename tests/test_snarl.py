@@ -1,8 +1,18 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from oscint.linalg import Mat, Subspace, intersect, kernel, subspace_sum
+from oscint.linalg import (
+    Mat,
+    Subspace,
+    frac_str,
+    intersect,
+    kernel,
+    random_subspace,
+    subspace_sum,
+)
 from oscint.snarl import (
     NonOneDimensional,
     Snarl,
@@ -16,6 +26,7 @@ from oscint.snarl import (
     is_transverse_splitting,
     snarl_from_json,
     snarl_to_json,
+    subspace_to_json,
 )
 
 
@@ -204,6 +215,25 @@ def test_snarl_validation():
     h = hyperplane(3, [1, 0, 0])
     with pytest.raises(ValueError):
         Snarl(3, [("a", h), ("a", h)])  # duplicate label
+
+
+def test_subspace_to_json_matches_basis_strings():
+    # integer-row formatting against frac_str over the Fraction basis, on
+    # seeded subspaces with integer and with rational spanning vectors
+    rng = random.Random(2024)
+    subs = [Subspace.zero(3), Subspace.full(3)]
+    for _ in range(200):
+        m = rng.randint(1, 7)
+        dim = rng.randint(0, m)
+        subs.append(random_subspace(m, dim, seed=rng.randrange(2**32)))
+        subs.append(Subspace(m, [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                  for _ in range(m)] for _ in range(dim)]))
+    for sub in subs:
+        assert subspace_to_json(sub) == [[frac_str(x) for x in v] for v in sub.basis]
+    # the draws cover negative entries, non-integer entries and pivots other than 1
+    assert any(x < 0 for sub in subs for row in sub.rows for x in row)
+    assert any(row[c] > 1 for sub in subs for row, c in zip(sub.rows, sub.pivots))
+    assert any("/" in x for sub in subs for v in subspace_to_json(sub) for x in v)
 
 
 def test_snarl_json_round_trip(cltt_snarl):
