@@ -19,7 +19,7 @@ from . import records, schemas
 from .linalg import GenericityFailure
 from .poly import is_degenerate, mat_from_json, poly_from_json, report_to_json
 from .quadrature import (BumpSpec, InsufficientTail, QuadConfig, fit_decay,
-                         sweep, sweep_to_csv, sweep_to_json)
+                         sweep, sweep_to_csv, sweep_to_json, truncated_axes)
 from .resolution import resolution_to_json, resolve, verify_resolution
 from .snarl import check_weak_hypothesis, snarl_from_json
 
@@ -105,6 +105,11 @@ def _run_sweep(inp: dict):
         refine_tol=float(q.get("refine_tol", 1e-4)),
         max_nodes_per_axis=q.get("max_nodes_per_axis"),
     )
+    cut = truncated_axes(pis, bumps, cfg.domain_box)
+    if cut:
+        click.echo(f"warning: domain_box cuts the amplitude off on "
+                   f"{', '.join(f'x{i + 1}' for i in cut)}; its boundary terms "
+                   f"distort the fitted decay", err=True)
     cert = None
     if inp["adversarial"]:
         report = is_degenerate(p, pis, labels=labels)

@@ -9,6 +9,13 @@ over the full grid is the product of the sums over each group's sub-grid
 (Fubini for a product rule).  The quadrature sums each group on its own
 sub-grid; node counts, caps and the convergence test are those of the
 full grid.
+
+The bumps are compactly supported, so the integrand is exactly zero at a
+node where a bump row that reads one axis alone fails the cutoff's test
+|s| < 1.  Each axis of a sub-grid is cut to the range of nodes that pass
+every such test, by the same float decision the cutoff makes; the dropped
+points would each add a signed zero.  A grid inside every bump's support
+keeps all of its nodes and gives bit-identical sums.
 """
 
 from __future__ import annotations
@@ -53,6 +60,14 @@ class InsufficientTail(Exception):
     """Fewer than 3 usable rows above the fit threshold."""
 
 
+def _rescale(t: np.ndarray, lo: Fraction, hi: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """t mapped from [lo, hi] onto s in [-1, 1], and where the bump on that
+    box axis is nonzero: |s| < 1."""
+    lo_f, hi_f = float(lo), float(hi)
+    s = (2.0 * t - (lo_f + hi_f)) / (hi_f - lo_f)
+    return s, np.abs(s) < 1.0
+
+
 @dataclass
 class BumpSpec:
     """Smooth cutoff prod_i exp(-1/(1-s_i^2)) on a box (rescaled to
@@ -78,9 +93,7 @@ class BumpSpec:
         is evaluated on its own array's shape."""
         val = 1.0
         for ti, (lo, hi) in zip(t, self.box):
-            lo_f, hi_f = float(lo), float(hi)
-            s = (2.0 * ti - (lo_f + hi_f)) / (hi_f - lo_f)
-            inside = np.abs(s) < 1.0
+            s, inside = _rescale(ti, lo, hi)
             axis = np.zeros_like(s)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 np.exp(-1.0 / (1.0 - s ** 2), out=axis, where=inside)
@@ -137,9 +150,17 @@ NEWTON_STEPS = 10  # cap only: the Tricomi guesses converge in 3-4 steps
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_n'(x) by the three-term recurrence (|x| < 1)."""
-    prev, cur = np.ones_like(x), x
+    # ((2k+1)*x*cur - k*prev) / (k+1) with its operations in their order,
+    # so the bits are those of the plain expression, written into three
+    # buffers that rotate; prev is scaled in place, as it is not read again
+    prev, cur, nxt = np.ones_like(x), x.copy(), np.empty_like(x)
     for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+        np.multiply(x, 2 * k + 1, out=nxt)
+        nxt *= cur
+        prev *= k
+        nxt -= prev
+        nxt /= k + 1
+        prev, cur, nxt = cur, nxt, prev
     return cur, n * (prev - x * cur) / ((1.0 - x) * (1.0 + x))
 
 
@@ -182,19 +203,32 @@ def _axis_rule(lo: float, hi: float, n: int, rule: str) -> tuple[np.ndarray, np.
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def _blocks(n: int, m: int):
-    """The grid of n**m points as blocks of at most CHUNK_LIMIT points, in
-    grid-index order.  A block is one slice per axis: single indices on
-    the leading axes, a range on one axis, and all of the trailing axes.
+def _blocks(sizes: Sequence[int]):
+    """The grid with sizes[i] points on axis i as blocks of at most
+    CHUNK_LIMIT points, in grid-index order.  A block is one slice per
+    axis: single indices on the leading axes, a range on one axis, and all
+    of the trailing axes.
     """
     k = 0
-    while n ** (m - k - 1) > CHUNK_LIMIT:
+    while math.prod(sizes[k + 1:]) > CHUNK_LIMIT:
         k += 1
-    step = CHUNK_LIMIT // n ** (m - k - 1)
-    for prefix in itertools.product(range(n), repeat=k):
-        for lo in range(0, n, step):
+    step = CHUNK_LIMIT // math.prod(sizes[k + 1:])
+    for prefix in itertools.product(*map(range, sizes[:k])):
+        for lo in range(0, sizes[k], step):
             yield (tuple(slice(i, i + 1) for i in prefix) + (slice(lo, lo + step),)
-                   + (slice(None),) * (m - k - 1))
+                   + (slice(None),) * (len(sizes) - k - 1))
+
+
+def _support_range(x: np.ndarray, cuts) -> tuple[int, int]:
+    """The index range [a, b) of the ascending nodes x outside which some
+    single-axis bump row (c, lo, hi) of cuts is zero: the cutoff's own test
+    |s| < 1 on t = c*x fails there.  t is monotone in x, so the nodes that
+    pass every test are one range, (0, 0) when none does."""
+    inside = np.ones(x.shape, dtype=bool)
+    for c, lo, hi in cuts:
+        inside &= _rescale(c * x, lo, hi)[1]
+    idx = np.flatnonzero(inside)
+    return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
 
 
 def _linear_form(row: np.ndarray, xs: Sequence[np.ndarray]):
@@ -248,6 +282,37 @@ def _chunk_sums(p: MultiPoly, pis: Sequence[np.ndarray], fs: Sequence[BumpSpec],
     return sums
 
 
+def _axis_cuts(m: int, pis: Sequence[Mat], fs: Sequence[BumpSpec]):
+    """Per axis of R^m, the bump rows that read that axis alone: (c, lo, hi)
+    for a row c*x_i whose bump is nonzero only for lo < c*x_i < hi."""
+    cuts = [[] for _ in range(m)]
+    for pi, f in zip(pis, fs):
+        for row, (lo, hi) in zip(pi.entries, f.box):
+            read = [i for i, c in enumerate(row) if c]
+            if len(read) == 1:
+                cuts[read[0]].append((row[read[0]], lo, hi))
+    return cuts
+
+
+def truncated_axes(pis: Sequence[Mat], fs: Sequence[BumpSpec],
+                   domain_box: Sequence[tuple[Fraction, Fraction]]) -> list[int]:
+    """The axes on which the amplitude is nonzero on a face of domain_box,
+    as far as the single-axis bump rows tell, decided in exact arithmetic:
+    the open interval where all of an axis's rows are nonzero contains an
+    end of the axis's domain interval.  Such a cut adds boundary terms of
+    order 1/lambda to the integral, which distort a fitted decay rate."""
+    out = []
+    for i, (cuts, (dlo, dhi)) in enumerate(zip(_axis_cuts(len(domain_box), pis, fs),
+                                               domain_box)):
+        if not cuts:
+            continue
+        ends = [sorted((lo / c, hi / c)) for c, lo, hi in cuts]
+        lo, hi = max(a for a, _ in ends), min(b for _, b in ends)
+        if lo < dlo < hi or lo < dhi < hi:
+            out.append(i)
+    return out
+
+
 def _factors(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec]):
     """The integrand as a product of factors on disjoint groups of axes.
 
@@ -257,7 +322,9 @@ def _factors(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec]):
     group, as does a map that reads no axis), its maps' columns as floats,
     its bumps, and the positions of their frequencies among the modulated
     bumps.  One group is the whole integrand with its terms in their order.
-    Returns (axes, P, maps, bumps, mu positions) per group.
+    Each group axis also gets its cuts (see _axis_cuts) with float
+    coefficients.  Returns (axes, P, maps, bumps, mu positions, cuts) per
+    group.
     """
     m = p.num_vars
     parent = list(range(m))
@@ -279,6 +346,7 @@ def _factors(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec]):
         return groups.index(roots[support[0]]) if support else 0
 
     modulated = [j for j, f in enumerate(fs) if f.modulation is not None]
+    axis_cuts = _axis_cuts(m, pis, fs)
     out = []
     for g, r in enumerate(groups):
         axes = [i for i in range(m) if roots[i] == r]
@@ -289,7 +357,9 @@ def _factors(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec]):
         maps = [np.array([[float(row[i]) for i in axes] for row in pis[j].entries])
                 for j in js]
         mus = [modulated.index(j) for j in js if j in modulated]
-        out.append((axes, MultiPoly(len(axes), terms), maps, [fs[j] for j in js], mus))
+        cuts = [[(float(c), lo, hi) for c, lo, hi in axis_cuts[i]] for i in axes]
+        out.append((axes, MultiPoly(len(axes), terms), maps, [fs[j] for j in js], mus,
+                    cuts))
     return out
 
 
@@ -307,6 +377,12 @@ def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     test are those of the full m-dimensional grid; only the number of
     points evaluated changes.  With one group the estimate is that group's
     sum, and the operations are those of a plain full-grid sum.
+
+    Each group axis is cut to the nodes where its single-axis bump rows
+    pass the cutoff's test (see _support_range); outside that range the
+    integrand is exactly zero, and an empty range makes the group's sum 0.
+    Rows that read several axes do not cut.  On a grid inside every bump's
+    support nothing is cut and the operations are those of the full grid.
 
     Each sub-grid is summed block by block (see _blocks), each block at
     most CHUNK_LIMIT points.  OSCINT_THREADS sets how many threads
@@ -338,11 +414,17 @@ def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
                      for lo, hi in cfg.domain_box]
             level = [freqs[r] for r in active]
             group_sums = []
-            for axes, pg, maps, bumps, mu_pos in factors:
+            for axes, pg, maps, bumps, mu_pos, cuts in factors:
+                ranges = [_support_range(rules[i][0], cut) for i, cut in zip(axes, cuts)]
+                sizes = [b - a for a, b in ranges]
+                if 0 in sizes:
+                    group_sums.append([0j] * len(level))
+                    continue
                 kernel = functools.partial(
-                    _chunk_sums, pg, maps, bumps, [rules[i] for i in axes],
+                    _chunk_sums, pg, maps, bumps,
+                    [(rules[i][0][a:b], rules[i][1][a:b]) for i, (a, b) in zip(axes, ranges)],
                     [(lam, [mus[k] for k in mu_pos]) for lam, mus in level])
-                parts = np.array(list(pool.map(kernel, _blocks(n, len(axes)))))
+                parts = np.array(list(pool.map(kernel, _blocks(sizes))))
                 group_sums.append([complex(math.fsum(col.real), math.fsum(col.imag))
                                    for col in parts.T])
             vals = [functools.reduce(operator.mul, sums) for sums in zip(*group_sums)]

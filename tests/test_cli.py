@@ -221,6 +221,46 @@ def test_sweep_demo_rows_pinned():
     ]
 
 
+def test_sweep_warns_when_domain_box_cuts_the_amplitude(runner, tmp_path):
+    # a bump on [0, 1] integrated over [0, 1/2]: the cut at 1/2 adds boundary
+    # terms that a fit reads as decay.  The run itself is unchanged.
+    spec = {"phase": {"vars": 1, "terms": [{"exps": [2], "coeff": "1"}]},
+            "maps": [{"label": "pi1", "rows": [["1"]]}],
+            "bumps": [{"box": [["0", "1"]]}],
+            "lambdas": [16, 64, 256, 1024],
+            "quad": {"nodes_per_axis": 16, "domain_box": [["0", "1/2"]],
+                     "refine_tol": 1e-4}}
+    path = tmp_path / "spec.json"
+    write_json(path, spec)
+    res = runner.invoke(main, ["sweep", str(path), "--out", str(tmp_path / "cut.csv")])
+    assert res.exit_code == 0, res.output
+    assert res.stderr.splitlines() == [
+        "warning: domain_box cuts the amplitude off on x1; its boundary terms "
+        "distort the fitted decay"]
+    assert json.loads(res.stdout)["rows"] == 4
+    assert read_json(tmp_path / "cut.json")["rows"] == _run_sweep(
+        {"runspec": spec, "adversarial": False})[0]["rows"]
+
+
+@pytest.mark.parametrize("fixture, box, adversarial", [
+    ("demo-sweep.json", None, False),
+    ("adversarial-sweep.json", None, True),
+    ("demo-sweep.json", [["-1/4", "9/8"], ["-1/4", "9/8"]], False),
+])
+def test_sweep_does_not_warn_inside_domain_box(runner, tmp_path, fixture, box, adversarial):
+    spec = read_json(FIXTURES / fixture)
+    if box is not None:
+        spec["quad"]["domain_box"] = box
+        # the lambda = 4096 row sits at the float noise floor on the wider box
+        spec["lambdas"] = spec["lambdas"][:-1]
+    path = tmp_path / "spec.json"
+    write_json(path, spec)
+    res = runner.invoke(main, ["sweep", str(path), "--out", str(tmp_path / "x.csv")]
+                        + ["--adversarial"] * adversarial)
+    assert res.exit_code == 0, res.output
+    assert res.stderr == ""
+
+
 @pytest.mark.parametrize("row", [["1", "0", "5"], ["1"]])
 def test_sweep_map_column_count_mismatch_exit_1(runner, tmp_path, row):
     spec = read_json(FIXTURES / "demo-sweep.json")

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -126,6 +127,39 @@ def test_gauss_legendre_matches_numpy(n):
     x, _ = quadrature._gauss_legendre(n)
     ref, _ = np.polynomial.legendre.leggauss(n)
     assert np.max(np.abs(x - ref)) <= 2 * np.spacing(1.0)
+
+
+def _gauss_legendre_reference(n):
+    """The rule as built before the recurrence ran in preallocated buffers:
+    a fresh array per operation, in the same order."""
+    def legendre(x):
+        prev, cur = np.ones_like(x), x
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+        return cur, n * (prev - x * cur) / ((1.0 - x) * (1.0 + x))
+
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0
+    for _ in range(quadrature.NEWTON_STEPS):
+        p, dp = legendre(x)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) <= 4 * np.finfo(float).eps:
+            break
+    _, dp = legendre(x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp ** 2)
+    return (np.concatenate([-x[:n // 2], x[::-1]]),
+            np.concatenate([w[:n // 2], w[::-1]]))
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 24, 32, 48, 64, 65, 100, 128, 256,
+                               512, 1000, 1024, 2048, 4096])
+def test_gauss_legendre_bits_match_reference_recurrence(n):
+    x, w = quadrature._gauss_legendre(n)
+    ref_x, ref_w = _gauss_legendre_reference(n)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
 
 
 def test_gauss_legendre_built_once_per_node_count():
@@ -280,6 +314,167 @@ def test_group_product_threads_match_serial(monkeypatch):
     parallel = [(r.value, r.nodes, r.error) for r in sweep(p, pis, fs, lambdas, cfg).rows]
     assert [nodes for _, nodes, _ in serial] == [32, 64, 64, 128]
     assert parallel == serial
+
+
+# --- the grid trimmed to the bumps' support -------------------------------
+
+def _blocks_reference(n, m):
+    """The blocks of the n**m cube as enumerated before _blocks took one
+    size per axis."""
+    k = 0
+    while n ** (m - k - 1) > quadrature.CHUNK_LIMIT:
+        k += 1
+    step = quadrature.CHUNK_LIMIT // n ** (m - k - 1)
+    for prefix in itertools.product(range(n), repeat=k):
+        for lo in range(0, n, step):
+            yield (tuple(slice(i, i + 1) for i in prefix) + (slice(lo, lo + step),)
+                   + (slice(None),) * (m - k - 1))
+
+
+# 8**5 and 181**2 fit CHUNK_LIMIT = 2**15 exactly or just; 8**6 and 182**2 do not
+@pytest.mark.parametrize("n, m", [(8, 1), (4096, 1), (64, 2), (2048, 2), (181, 3),
+                                  (182, 3), (8, 5), (8, 6), (64, 4)])
+def test_blocks_on_cubes_match_reference(n, m):
+    assert list(quadrature._blocks([n] * m)) == list(_blocks_reference(n, m))
+
+
+def test_blocks_on_cubes_pinned(monkeypatch):
+    monkeypatch.setattr(quadrature, "CHUNK_LIMIT", 20)
+    full = slice(None)
+    assert list(quadrature._blocks([4] * 3)) == [
+        (slice(i, i + 1), full, full) for i in range(4)]
+    assert list(quadrature._blocks([5] * 3)) == [
+        (slice(i, i + 1), slice(lo, lo + 4), full) for i in range(5) for lo in (0, 4)]
+    assert list(quadrature._blocks([30])) == [(slice(0, 20),), (slice(20, 40),)]
+
+
+@pytest.mark.parametrize("sizes", [[3, 7, 5], [1, 9], [13, 2, 1, 6]])
+def test_blocks_cover_any_grid_once_in_order(sizes, monkeypatch):
+    monkeypatch.setattr(quadrature, "CHUNK_LIMIT", 8)
+    seen = []
+    for block in quadrature._blocks(sizes):
+        idx = np.indices(sizes)[(slice(None),) + block].reshape(len(sizes), -1).T
+        assert 0 < len(idx) <= 8
+        seen += [tuple(i) for i in idx]
+    assert seen == list(itertools.product(*map(range, sizes)))
+
+
+def _wide_case():
+    """P = x1*x2 - x2^2/2 + x1 with unit bumps on a domain box wider than
+    them on both sides, so the trim drops nodes at both ends of each axis."""
+    p = MultiPoly(2, {(1, 1): 1, (0, 2): Fraction(-1, 2), (1, 0): 1})
+    pis = [Mat([[1, 0]]), Mat([[0, 1]])]
+    fs = [BumpSpec(box=list(UNIT)), BumpSpec(box=list(UNIT))]
+    domain = [(Fraction(-1, 2), Fraction(5, 4)), (Fraction(-1, 4), Fraction(3, 2))]
+    return p, pis, fs, domain
+
+
+def _ranges(p, pis, fs, domain, n, rule):
+    ((axes, *_, cuts),) = quadrature._factors(p, pis, fs)
+    return [quadrature._support_range(
+        quadrature._axis_rule(float(domain[i][0]), float(domain[i][1]), n, rule)[0], cut)
+        for i, cut in zip(axes, cuts)]
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre", "midpoint"])
+def test_trimmed_sum_matches_full_grid(rule):
+    p, pis, fs, domain = _wide_case()
+    for a, b in _ranges(p, pis, fs, domain, 48, rule):
+        assert 0 < a < b < 48
+    _assert_level_matches(
+        p, pis, fs, domain, 48, rule,
+        lambda X: (X[0] * X[1] - X[1] ** 2 / 2 + X[0], 0.0),
+        lambda X: _bump(X[0], 0.0, 1.0) * _bump(X[1], 0.0, 1.0))
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre", "midpoint"])
+def test_trim_with_negative_map_coefficient(rule):
+    # -2*x1 in (-2, 0) keeps x1 in (0, 1); the modulation rides on t = -2*x1
+    p = MultiPoly(2, {(1, 1): 1, (2, 0): 1})
+    q = MultiPoly(1, {(1,): 1})
+    pis = [Mat([[-2, 0]]), Mat([[0, 1]])]
+    fs = [BumpSpec(box=[(-2, 0)], modulation=(q, 2.0)), BumpSpec(box=[(0, 1)])]
+    domain = [(-1, 2), (-1, 2)]
+    assert quadrature._factors(p, pis, fs)[0][-1] == [[(-2.0, -2, 0)], [(1.0, 0, 1)]]
+    for a, b in _ranges(p, pis, fs, domain, 40, rule):
+        assert 0 < a < b < 40
+    _assert_level_matches(
+        p, pis, fs, domain, 40, rule,
+        lambda X: (X[0] * X[1] + X[0] ** 2, 4.0 * X[0]),
+        lambda X: _bump(-2 * X[0], -2.0, 0.0) * _bump(X[1], 0.0, 1.0))
+
+
+def test_two_axis_row_does_not_trim():
+    # the bump on x1 + x2 reads both axes, and no row reads one alone
+    p = MultiPoly(2, {(1, 1): 1})
+    pis = [Mat([[1, 1]])]
+    fs = [BumpSpec(box=[(0, 1)])]
+    domain = [(-1, 2), (-1, 2)]
+    assert quadrature._factors(p, pis, fs)[0][-1] == [[], []]
+    assert _ranges(p, pis, fs, domain, 32, "gauss-legendre") == [(0, 32), (0, 32)]
+    _assert_level_matches(p, pis, fs, domain, 32, "gauss-legendre",
+                          lambda X: (X[0] * X[1], 0.0),
+                          lambda X: _bump(X[0] + X[1], 0.0, 1.0))
+
+
+def test_bump_outside_the_box_gives_zero_group_sum():
+    # the bump on x2 lives on (2, 3), beyond the domain box: x2's group is 0
+    p = MultiPoly(2, {(2, 0): 1, (0, 1): 1})
+    pis = [Mat([[1, 0]]), Mat([[0, 1]])]
+    fs = [BumpSpec(box=[(0, 1)]), BumpSpec(box=[(2, 3)])]
+    cfg = QuadConfig(domain_box=[(0, 1), (0, 1)], nodes_per_axis=16)
+    results = quadrature._refine(p, pis, fs, cfg, [(lam, []) for lam in (1.0, 8.0)])
+    # equal estimates at 16 and 32 nodes converge, as the full grid's zeros do
+    assert results == [(0j, 32), (0j, 32)]
+
+
+def test_dropped_slabs_sum_to_exact_zero():
+    p, pis, fs, domain = _wide_case()
+    ((_, pg, maps, bumps, _, _),) = quadrature._factors(p, pis, fs)
+    n = 64
+    rules = [quadrature._axis_rule(float(lo), float(hi), n, "gauss-legendre")
+             for lo, hi in domain]
+    freqs = [(lam, []) for lam in (0.0, 5.0, 50.0)]
+    for axis, (a, b) in enumerate(_ranges(p, pis, fs, domain, n, "gauss-legendre")):
+        for dropped in (slice(0, a), slice(b, n)):
+            block = tuple(dropped if i == axis else slice(None) for i in range(2))
+            sums = quadrature._chunk_sums(pg, maps, bumps, rules, freqs, block)
+            assert list(sums) == [0j] * len(freqs)
+
+
+def test_trimmed_threads_match_serial(monkeypatch):
+    p, pis, fs, domain = _wide_case()
+    monkeypatch.setattr(quadrature, "CHUNK_LIMIT", 64)  # several blocks per level
+    # the rows stop at 128, 256 and the cap, 256
+    cfg = QuadConfig(domain_box=domain, nodes_per_axis=16, refine_tol=1e-4,
+                     max_nodes_per_axis=256)
+    lambdas = [1.0, 8.0, 32.0, 128.0]
+    monkeypatch.setenv("OSCINT_THREADS", "1")
+    serial = [(r.value, r.nodes, r.error) for r in sweep(p, pis, fs, lambdas, cfg).rows]
+    monkeypatch.setenv("OSCINT_THREADS", "2")
+    parallel = [(r.value, r.nodes, r.error) for r in sweep(p, pis, fs, lambdas, cfg).rows]
+    assert [nodes for _, nodes, _ in serial] == [128, 256, 256, 256]
+    assert parallel == serial
+
+
+def test_truncated_axes():
+    pis = [Mat([[1, 0, 0]]), Mat([[0, -2, 0], [0, 0, 1]]), Mat([[0, 1, 0]]),
+           Mat([[0, 0, 1]])]
+    fs = [BumpSpec(box=[(0, 1)]), BumpSpec(box=[(-2, 0), (0, 4)]),
+          BumpSpec(box=[(Fraction(1, 2), 3)]), BumpSpec(box=[(-1, 1)])]
+    # supports: x1 in (0, 1), x2 in (1/2, 1), x3 in (0, 1) (a two-row bump
+    # and a bump on (-1, 1) intersected)
+    assert quadrature.truncated_axes(pis, fs, [(0, 1)] * 3) == []
+    assert quadrature.truncated_axes(pis, fs, [(-1, 2)] * 3) == []
+    assert quadrature.truncated_axes(pis, fs, [(0, Fraction(1, 2)), (0, 1), (0, 1)]) == [0]
+    assert quadrature.truncated_axes(pis, fs, [(0, 1), (Fraction(3, 4), 2), (0, 1)]) == [1]
+    # a box inside the support cuts it on both faces; one beyond it cuts nothing
+    assert quadrature.truncated_axes(pis, fs, [(0, 1), (0, 1), (Fraction(1, 4),
+                                                                Fraction(3, 4))]) == [2]
+    assert quadrature.truncated_axes(pis, fs, [(1, 2), (1, 2), (1, 2)]) == []
+    # rows that read two axes tell nothing: x1 + x2 on (0, 1) over a wide box
+    assert quadrature.truncated_axes([Mat([[1, 1]])], [BumpSpec(box=[(0, 1)])],
+                                     [(0, Fraction(1, 4))] * 2) == []
 
 
 def test_interior_critical_point_matches_stationary_phase():
