@@ -16,6 +16,12 @@ node where a bump row that reads one axis alone fails the cutoff's test
 every such test, by the same float decision the cutoff makes; the dropped
 points would each add a signed zero.  A grid inside every bump's support
 keeps all of its nodes and gives bit-identical sums.
+
+The Gauss-Legendre rules are built by Newton's method on the three-term
+recurrence, O(n^2) work per rule.  The power-of-two rules from 8 to 4096
+nodes, which doubling reaches from every power-of-two start, ship with the
+package in gauss_legendre.npz as that build's output, bit for bit; each
+is read from there when first used.
 """
 
 from __future__ import annotations
@@ -164,16 +170,23 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cur, n * (prev - x * cur) / ((1.0 - x) * (1.0 + x))
 
 
-@lru_cache(maxsize=64)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1], in O(n) memory.
+# The n of the rules shipped in RULE_TABLE: the powers of two from
+# MIN_NODES_PER_AXIS to the 1-d and 2-d node cap, which are all the sizes
+# that doubling reaches from a power-of-two start.  The table holds
+# np.stack(_newton_half(n)) under the key str(n); the README gives the
+# command that regenerates it.
+TABLED_NODE_COUNTS = frozenset(1 << k for k in range(3, 13))
+RULE_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "gauss_legendre.npz")
 
-    Tricomi's asymptotic guesses for the ceil(n/2) nonnegative nodes are
-    refined by Newton's method on the recurrence until every step is within
-    a few ulp of 1 (after which the quadratic convergence has left an error
-    far below one ulp), then mirrored; odd n has the node 0 exactly.  The
-    weights are 2 / ((1 - x^2) P_n'(x)^2).  Cached per n, read-only.
+
+def _newton_half(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ceil(n/2) nonnegative nodes of the n-point Gauss-Legendre rule
+    on [-1, 1], descending, and their weights, in O(n) memory.
+
+    Tricomi's asymptotic guesses are refined by Newton's method on the
+    recurrence until every step is within a few ulp of 1 (after which the
+    quadratic convergence has left an error far below one ulp); odd n has
+    the node 0 exactly.  The weights are 2 / ((1 - x^2) P_n'(x)^2).
     """
     k = np.arange(1, (n + 1) // 2 + 1)
     x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
@@ -186,7 +199,22 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         if np.max(np.abs(dx)) <= 4 * np.finfo(float).eps:
             break
     _, dp = _legendre(n, x)
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp ** 2)
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp ** 2)
+
+
+@lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], the nonnegative half mirrored.  That half is read from
+    RULE_TABLE for the tabled n, which hold _newton_half's output bit for
+    bit, and built by _newton_half for any other n; a missing table is an
+    error, not a rebuild.  Cached per n, read-only.
+    """
+    if n in TABLED_NODE_COUNTS:
+        with np.load(RULE_TABLE) as table:
+            x, w = table[str(n)]
+    else:
+        x, w = _newton_half(n)
     nodes = np.concatenate([-x[:n // 2], x[::-1]])
     weights = np.concatenate([w[:n // 2], w[::-1]])
     nodes.flags.writeable = False
@@ -299,11 +327,17 @@ def truncated_axes(pis: Sequence[Mat], fs: Sequence[BumpSpec],
     """The axes on which the amplitude is nonzero on a face of domain_box,
     as far as the single-axis bump rows tell, decided in exact arithmetic:
     the open interval where all of an axis's rows are nonzero contains an
-    end of the axis's domain interval.  Such a cut adds boundary terms of
-    order 1/lambda to the integral, which distort a fitted decay rate."""
+    end of the axis's domain interval.  An axis that no map reads carries a
+    constant amplitude, so it is always cut; one read only by rows on
+    several axes is not flagged.  Such a cut adds boundary terms of order
+    1/lambda to the integral, which distort a fitted decay rate."""
+    read = {i for pi in pis for row in pi.entries for i, c in enumerate(row) if c}
     out = []
     for i, (cuts, (dlo, dhi)) in enumerate(zip(_axis_cuts(len(domain_box), pis, fs),
                                                domain_box)):
+        if i not in read:
+            out.append(i)
+            continue
         if not cuts:
             continue
         ends = [sorted((lo / c, hi / c)) for c, lo, hi in cuts]
@@ -523,9 +557,9 @@ def sweep(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
 
 def fit_decay(s: DecaySweep, tail_from: float = 0.0) -> FitResult:
     """Least-squares fit log|I| = logC - rho*log(1+lambda) on the tail
-    rows; stores and returns (rho, logC, r2)."""
+    rows that converged; stores and returns (rho, logC, r2)."""
     pts = [(r.lam, r.abs) for r in s.rows
-           if r.lam >= tail_from and r.value is not None and r.abs > 0.0]
+           if r.lam >= tail_from and r.error is None and r.abs > 0.0]
     if len(pts) < 3:
         raise InsufficientTail(f"only {len(pts)} usable rows with lambda >= {tail_from}")
     x = np.log1p([lam for lam, _ in pts])

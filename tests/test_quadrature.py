@@ -171,6 +171,62 @@ def test_gauss_legendre_built_once_per_node_count():
     assert abs(wa.sum() - 1.0) < 1e-14 and abs(wb.sum() - 2.5) < 1e-14
 
 
+def test_rule_table_holds_the_powers_of_two_from_8_to_4096():
+    with np.load(quadrature.RULE_TABLE) as table:
+        assert sorted(map(int, table.files)) == [2 ** k for k in range(3, 13)]
+        assert set(map(int, table.files)) == quadrature.TABLED_NODE_COUNTS
+        for key in table.files:
+            stored, built = table[key], np.stack(quadrature._newton_half(int(key)))
+            assert stored.dtype == built.dtype and stored.shape == built.shape
+            assert stored.tobytes() == built.tobytes(), key
+
+
+@pytest.fixture
+def no_cached_rules():
+    """An empty rule cache, emptied again afterwards, so that no rule built
+    under a test's patches outlives it."""
+    quadrature._gauss_legendre.cache_clear()
+    yield
+    quadrature._gauss_legendre.cache_clear()
+
+
+@pytest.mark.parametrize("n", [24, 100])
+def test_untabled_rule_is_built_without_the_table(n, monkeypatch, no_cached_rules):
+    def no_load(*args, **kwargs):
+        raise AssertionError("the rule table was opened")
+
+    monkeypatch.setattr(np, "load", no_load)
+    x, w = quadrature._gauss_legendre(n)
+    half_x, half_w = quadrature._newton_half(n)
+    assert x[n // 2:].tobytes() == half_x[::-1].tobytes()
+    assert w[n // 2:].tobytes() == half_w[::-1].tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 64, 4096])
+def test_tabled_rule_is_read_without_a_build(n, monkeypatch, no_cached_rules):
+    def no_build(n):
+        raise AssertionError("a tabled rule was built")
+
+    monkeypatch.setattr(quadrature, "_newton_half", no_build)
+    x, w = quadrature._gauss_legendre(n)
+    ref_x, ref_w = _gauss_legendre_reference(n)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+
+
+def test_tabled_rule_without_the_table_fails(monkeypatch, tmp_path, no_cached_rules):
+    monkeypatch.setattr(quadrature, "RULE_TABLE", str(tmp_path / "missing.npz"))
+    with pytest.raises(FileNotFoundError):
+        quadrature._gauss_legendre(64)
+
+
+@pytest.mark.parametrize("n", [8, 24, 64, 100])
+def test_gauss_legendre_arrays_are_read_only(n):
+    for a in quadrature._gauss_legendre(n):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 def test_node_cap_exceeded():
     p = MultiPoly(1, {(1,): 1})
     cfg = QuadConfig(domain_box=[(0, 1)], nodes_per_axis=8, refine_tol=1e-16,
@@ -475,6 +531,10 @@ def test_truncated_axes():
     # rows that read two axes tell nothing: x1 + x2 on (0, 1) over a wide box
     assert quadrature.truncated_axes([Mat([[1, 1]])], [BumpSpec(box=[(0, 1)])],
                                      [(0, Fraction(1, 4))] * 2) == []
+    # an axis that no map reads has a constant amplitude, always cut: x3 of
+    # the grouped case; x0 and x1 are read only by the row x0 + x1
+    _, pis, fs, domain = _grouped_case()
+    assert quadrature.truncated_axes(pis, fs, domain) == [3]
 
 
 def test_interior_critical_point_matches_stationary_phase():
@@ -612,6 +672,18 @@ def test_fit_decay_tail_filter_and_insufficient():
     assert abs(fit.rho - 1.0) < 1e-9
     with pytest.raises(InsufficientTail):
         fit_decay(DecaySweep(rows=list(rows)), tail_from=500)
+
+
+def test_fit_decay_leaves_out_unconverged_rows():
+    # |I| falls to the float noise floor at lambda = 3000, where the row
+    # hits the 4096-node cap without converging
+    s = sweep(MultiPoly(1, {(1,): 1}), [Mat([[1]])], [BumpSpec(box=list(UNIT))],
+              [10, 100, 1000, 3000], QuadConfig(domain_box=list(UNIT), nodes_per_axis=16))
+    assert [r.error for r in s.rows] == [None, None, None, "node_cap_exceeded"]
+    assert s.rows[-1].nodes == 4096 and s.rows[-1].abs < 1e-15
+    converged = DecaySweep(rows=s.rows[:3])
+    assert fit_decay(s) == fit_decay(converged)
+    assert s.fit == converged.fit
 
 
 def test_sweep_parallel_matches_serial(product_setup, monkeypatch):
