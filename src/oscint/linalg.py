@@ -123,38 +123,6 @@ class Factorisation(NamedTuple):
         return x
 
 
-def _eliminate(M: Mat) -> tuple[list[list[Fraction]], Factorisation]:
-    """Gauss-Jordan elimination of M, recording its row operations."""
-    a = [list(row) for row in M.entries]
-    nrows, ncols = M.rows, M.cols
-    pivots: list[int] = []
-    steps = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][c]
-        a[r] = [x / pivot for x in a[r]]
-        elims = []
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                elims.append((i, f))
-        pivots.append(c)
-        steps.append((piv, pivot, tuple(elims)))
-        r += 1
-    return a, Factorisation(nrows, ncols, tuple(pivots), tuple(steps))
-
-
 def _int_row(row: Sequence) -> list[int]:
     """A rational row scaled by the lcm of its denominators."""
     if all(type(x) is int for x in row):
@@ -209,8 +177,31 @@ def rref(M: Mat) -> tuple[Mat, int, list[int]]:
 
 
 def factor(M: Mat) -> Factorisation:
-    """Record the elimination of M once, to solve against it many times."""
-    return _eliminate(M)[1]
+    """Record the Gauss-Jordan elimination of M once, to solve against it
+    many times."""
+    a = [list(row) for row in M.entries]
+    nrows, ncols = M.rows, M.cols
+    pivots: list[int] = []
+    steps = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pivot = a[r][c]
+        a[r] = [x / pivot for x in a[r]]
+        elims = []
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                elims.append((i, f))
+        pivots.append(c)
+        steps.append((piv, pivot, tuple(elims)))
+    return Factorisation(nrows, ncols, tuple(pivots), tuple(steps))
 
 
 def rank(M: Mat) -> int:

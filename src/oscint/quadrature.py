@@ -31,7 +31,6 @@ import itertools
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
@@ -119,6 +118,10 @@ class QuadConfig:
         self.domain_box = [(Fraction(lo), Fraction(hi)) for lo, hi in self.domain_box]
         if self.nodes_per_axis < MIN_NODES_PER_AXIS:
             raise ValueError(f"nodes_per_axis must be >= {MIN_NODES_PER_AXIS}")
+        if self.nodes_per_axis > self.node_cap():
+            raise ValueError(f"nodes_per_axis must be <= the node cap {self.node_cap()}")
+        if not self.refine_tol > 0:
+            raise ValueError("refine_tol must be > 0")
         if self.rule not in ("gauss-legendre", "midpoint"):
             raise ValueError(f"unknown rule {self.rule!r}")
 
@@ -419,11 +422,9 @@ def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     support nothing is cut and the operations are those of the full grid.
 
     Each sub-grid is summed block by block (see _blocks), each block at
-    most CHUNK_LIMIT points.  OSCINT_THREADS sets how many threads
-    evaluate the blocks, and each group's block sums are combined by a
-    correctly rounded sum, so the result does not depend on the thread
-    count.  Returns, per row, (value, nodes per axis) or the
-    NodeCapExceeded that ended it.
+    most CHUNK_LIMIT points, and each group's block sums are combined by a
+    correctly rounded sum.  Returns, per row, (value, nodes per axis) or
+    the NodeCapExceeded that ended it.
     """
     if len(fs) != len(pis):
         raise ValueError("one bump spec per map required")
@@ -441,41 +442,39 @@ def _refine(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     prev: list[Optional[complex]] = [None] * len(freqs)
     out: list = [None] * len(freqs)
     active = list(range(len(freqs)))
-    # One pool serves every thread count.
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        while active:
-            rules = [_axis_rule(float(lo), float(hi), n, cfg.rule)
-                     for lo, hi in cfg.domain_box]
-            level = [freqs[r] for r in active]
-            group_sums = []
-            for axes, pg, maps, bumps, mu_pos, cuts in factors:
-                ranges = [_support_range(rules[i][0], cut) for i, cut in zip(axes, cuts)]
-                sizes = [b - a for a, b in ranges]
-                if 0 in sizes:
-                    group_sums.append([0j] * len(level))
+    while active:
+        rules = [_axis_rule(float(lo), float(hi), n, cfg.rule)
+                 for lo, hi in cfg.domain_box]
+        level = [freqs[r] for r in active]
+        group_sums = []
+        for axes, pg, maps, bumps, mu_pos, cuts in factors:
+            ranges = [_support_range(rules[i][0], cut) for i, cut in zip(axes, cuts)]
+            sizes = [b - a for a, b in ranges]
+            if 0 in sizes:
+                group_sums.append([0j] * len(level))
+                continue
+            kernel = functools.partial(
+                _chunk_sums, pg, maps, bumps,
+                [(rules[i][0][a:b], rules[i][1][a:b]) for i, (a, b) in zip(axes, ranges)],
+                [(lam, [mus[k] for k in mu_pos]) for lam, mus in level])
+            parts = np.array([kernel(block) for block in _blocks(sizes)])
+            group_sums.append([complex(math.fsum(col.real), math.fsum(col.imag))
+                               for col in parts.T])
+        vals = [functools.reduce(operator.mul, sums) for sums in zip(*group_sums)]
+        still = []
+        for r, val in zip(active, vals):
+            if prev[r] is not None:
+                denom = max(abs(val), abs(prev[r]), 1e-300)
+                if abs(val - prev[r]) <= cfg.refine_tol * denom:
+                    out[r] = (val, n)
                     continue
-                kernel = functools.partial(
-                    _chunk_sums, pg, maps, bumps,
-                    [(rules[i][0][a:b], rules[i][1][a:b]) for i, (a, b) in zip(axes, ranges)],
-                    [(lam, [mus[k] for k in mu_pos]) for lam, mus in level])
-                parts = np.array(list(pool.map(kernel, _blocks(sizes))))
-                group_sums.append([complex(math.fsum(col.real), math.fsum(col.imag))
-                                   for col in parts.T])
-            vals = [functools.reduce(operator.mul, sums) for sums in zip(*group_sums)]
-            still = []
-            for r, val in zip(active, vals):
-                if prev[r] is not None:
-                    denom = max(abs(val), abs(prev[r]), 1e-300)
-                    if abs(val - prev[r]) <= cfg.refine_tol * denom:
-                        out[r] = (val, n)
-                        continue
-                if 2 * n > cap:
-                    out[r] = NodeCapExceeded(val if prev[r] is None else prev[r], val, n)
-                    continue
-                prev[r] = val
-                still.append(r)
-            active = still
-            n *= 2
+            if 2 * n > cap:
+                out[r] = NodeCapExceeded(val if prev[r] is None else prev[r], val, n)
+                continue
+            prev[r] = val
+            still.append(r)
+        active = still
+        n *= 2
     return out
 
 
@@ -515,13 +514,6 @@ def adversarial_functions(p: MultiPoly, pis: Sequence[Mat],
             for (_, q), box in zip(cert, boxes)]
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("OSCINT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def sweep(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
           lambdas: Sequence[float], cfg: QuadConfig,
           adversarial_cert: Sequence[tuple[str, MultiPoly]] | None = None) -> DecaySweep:
@@ -529,10 +521,6 @@ def sweep(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     level; rows that fail to converge are kept with their last estimate and
     marked failed.  With a certificate (verified once) each bump j is
     modulated by exp(-i*lam*Q_j) at the row's own lambda.
-
-    OSCINT_THREADS > 1 evaluates the grid blocks of each level on a thread
-    pool; the block sums are combined by a correctly rounded sum, so results
-    are identical to the serial run.
     """
     lams = [float(x) for x in lambdas]
     if len(lams) < 4:

@@ -273,6 +273,35 @@ def test_sweep_map_column_count_mismatch_exit_1(runner, tmp_path, row):
     assert not (tmp_path / "x.csv").exists()
 
 
+def _one_axis_spec(spec):
+    """demo-sweep cut to P = x on [0,1] with one bump, 1-d."""
+    spec["phase"] = {"vars": 1, "terms": [{"exps": [1], "coeff": "1"}]}
+    spec["maps"], spec["bumps"] = [{"rows": [["1"]]}], [{"box": [["0", "1"]]}]
+    spec["quad"]["domain_box"] = [["0", "1"]]
+    del spec["quad"]["max_nodes_per_axis"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s["quad"].update(nodes_per_axis=64, max_nodes_per_axis=32), "node cap 32"),
+    (lambda s: (_one_axis_spec(s), s["quad"].update(nodes_per_axis=8192)), "node cap 4096"),
+    (lambda s: s["quad"].update(refine_tol=0), "refine_tol"),
+    (lambda s: s["quad"].update(refine_tol=-1e-4), "refine_tol"),
+    (lambda s: s["quad"].update(refine_tol=float("nan")), "refine_tol"),
+    (lambda s: s["maps"][0].update(rows=[["1", "0"], ["0", "1"]]), "bump box dimension"),
+], ids=["start-above-cap", "start-above-default-cap", "tol-zero", "tol-negative",
+        "tol-nan", "bump-box-short"])
+def test_sweep_bad_quad_exit_1(runner, tmp_path, edit, message):
+    spec = read_json(FIXTURES / "demo-sweep.json")
+    edit(spec)
+    path = tmp_path / "spec.json"
+    write_json(path, spec)
+    res = runner.invoke(main, ["sweep", str(path), "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert message in all_output(res)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sweep_adversarial_flat(runner, tmp_path):
     out = tmp_path / "adv.csv"
     res = runner.invoke(main, ["sweep", str(FIXTURES / "adversarial-sweep.json"),

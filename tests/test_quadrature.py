@@ -243,6 +243,19 @@ def test_config_validation():
         QuadConfig(domain_box=[(0, 1)], rule="simpson")
     with pytest.raises(ValueError):
         BumpSpec(box=[(1, 1)])
+    # a start above the node cap, the default one or a given one
+    with pytest.raises(ValueError, match="node cap 4096"):
+        QuadConfig(domain_box=[(0, 1)], nodes_per_axis=8192)
+    with pytest.raises(ValueError, match="node cap 64"):
+        QuadConfig(domain_box=[(0, 1)] * 4, nodes_per_axis=128)
+    with pytest.raises(ValueError, match="node cap 32"):
+        QuadConfig(domain_box=[(0, 1)], nodes_per_axis=64, max_nodes_per_axis=32)
+    assert QuadConfig(domain_box=[(0, 1)] * 4, nodes_per_axis=64).node_cap() == 64
+    for tol in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError, match="refine_tol"):
+            QuadConfig(domain_box=[(0, 1)], refine_tol=tol)
+    with pytest.raises(ValueError, match="modulation variable count"):
+        BumpSpec(box=list(UNIT), modulation=(MultiPoly(2, {(1, 1): 1}), 1.0))
 
 
 def test_eval_shape_validation(product_setup):
@@ -251,6 +264,9 @@ def test_eval_shape_validation(product_setup):
         eval_integral(p, 1.0, pis, fs[:1], cfg)
     with pytest.raises(ValueError):
         eval_integral(MultiPoly(3, {(1, 1, 1): 1}), 1.0, pis, fs, cfg)
+    # a two-row map whose bump box has one axis: zip would drop the second
+    with pytest.raises(ValueError, match="bump box dimension"):
+        eval_integral(p, 1.0, [Mat([[1, 0], [0, 1]]), pis[1]], fs, cfg)
 
 
 # --- block kernel against a brute-force full-grid sum ----------------------
