@@ -6,10 +6,11 @@ primitive integer rows: each row of its reduced row-echelon basis scaled
 to coprime integers with a positive pivot.  That form is as canonical as
 the reduced basis, so equality of subspaces is equality of
 representations, and sums, intersections and annihilators run on Python
-ints through one fraction-free Gauss-Jordan reduction.  Fractions appear
-only at the boundaries: Mat entries, Subspace.basis (the reduced rows the
-JSON wire formats and the polynomial layer read), and the Factorisation
-that solve replays.
+ints through one fraction-free Gauss-Jordan reduction.  factor records
+the steps that solve replays from that same reduction, run on the matrix
+rows scaled to integers.  Fractions appear only at the boundaries: Mat
+entries, Subspace.basis (the reduced rows the JSON wire formats and the
+polynomial layer read), and the Factorisation that solve replays.
 """
 
 from __future__ import annotations
@@ -132,36 +133,54 @@ def _int_row(row: Sequence) -> list[int]:
     return [x.numerator * (d // x.denominator) for x in row]
 
 
-def _reduce(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple, tuple]:
-    """Fraction-free Gauss-Jordan reduction of integer rows (FFGJ: Bareiss,
-    Math. Comp. 22 (1968); Nakos, Turner and Williams, SIGSAM Bull. 31
-    (1997)).
+def _gauss_jordan(a: list[Sequence[int]], ncols: int):
+    """Fraction-free Gauss-Jordan reduction of the integer rows a, in place
+    (FFGJ: Bareiss, Math. Comp. 22 (1968); Nakos, Turner and Williams,
+    SIGSAM Bull. 31 (1997)).
 
-    Each step cross-multiplies every other row by the pivot and divides it
-    exactly by the previous pivot, so every entry stays a minor of the
-    input.  Returns the nonzero rows made primitive with positive pivots,
-    each a positive multiple of the matching reduced row-echelon row, and
-    their pivot columns.
+    A step with pivot p in column c cross-multiplies each other row by p,
+    subtracts the multiple of the pivot row that clears column c, and
+    divides exactly by the previous pivot, so every entry stays a minor of
+    the input.  A row with a zero in column c is left as it is instead:
+    a[i] stands for the row a[i] * prev / level[i], with prev the last
+    pivot, so a later step divides it by level[i].  Only the pivot row is
+    brought up to date before its step.
+
+    Yields each step (r, c, swap, prev, level) after rows r and swap are
+    swapped and before column c is eliminated.  At the end the first r
+    rows are multiples of the reduced row-echelon rows; the rest are zero.
     """
-    a = [row for row in rows if any(row)]
-    pivots: list[int] = []
+    level = [1] * len(a)
     prev = 1
+    r = 0
     for c in range(ncols):
-        r = len(pivots)
         if r == len(a):
             break
         piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
+        level[r], level[piv] = level[piv], level[r]
+        if level[r] != prev:
+            a[r] = [x * prev // level[r] for x in a[r]]
+            level[r] = prev
+        yield r, c, piv, prev, level
         prow = a[r]
         p = prow[c]
         for i, row in enumerate(a):
-            if i != r:
-                f = row[c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
-        prev = p
-        pivots.append(c)
+            f = row[c]
+            if f and i != r:
+                a[i] = [(p * x - f * y) // level[i] for x, y in zip(row, prow)]
+                level[i] = p
+        level[r] = prev = p
+        r += 1
+
+
+def _reduce(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple, tuple]:
+    """The nonzero rows of the reduced row-echelon form of integer rows,
+    each made primitive with a positive pivot, and their pivot columns."""
+    a = [row for row in rows if any(row)]
+    pivots = [c for _, c, *_ in _gauss_jordan(a, ncols)]
     out = []
     for row, c in zip(a, pivots):
         g = gcd(*row) if row[c] > 0 else -gcd(*row)
@@ -178,30 +197,25 @@ def rref(M: Mat) -> tuple[Mat, int, list[int]]:
 
 def factor(M: Mat) -> Factorisation:
     """Record the Gauss-Jordan elimination of M once, to solve against it
-    many times."""
-    a = [list(row) for row in M.entries]
-    nrows, ncols = M.rows, M.cols
-    pivots: list[int] = []
+    many times.
+
+    The steps are read off the fraction-free reduction of M's rows, row i
+    scaled to integers by s[i], the lcm of its denominators: at step r the
+    pivot is a[r][c] / (prev * s[r]), an earlier pivot row j has the
+    multiplier a[j][c] / level[j], and a later row i has a[i][c] /
+    (level[i] * s[i]).
+    """
+    a = [_int_row(row) for row in M.entries]
+    s = [lcm(*[x.denominator for x in row]) for row in M.entries]
+    pivots = []
     steps = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][c]
-        a[r] = [x / pivot for x in a[r]]
-        elims = []
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                elims.append((i, f))
+    for r, c, swap, prev, level in _gauss_jordan(a, M.cols):
+        s[r], s[swap] = s[swap], s[r]
+        elims = tuple((i, Fraction(row[c], level[i] if i < r else level[i] * s[i]))
+                      for i, row in enumerate(a) if row[c] and i != r)
         pivots.append(c)
-        steps.append((piv, pivot, tuple(elims)))
-    return Factorisation(nrows, ncols, tuple(pivots), tuple(steps))
+        steps.append((swap, Fraction(a[r][c], prev * s[r]), elims))
+    return Factorisation(M.rows, M.cols, tuple(pivots), tuple(steps))
 
 
 def rank(M: Mat) -> int:

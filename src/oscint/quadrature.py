@@ -65,6 +65,15 @@ class InsufficientTail(Exception):
     """Fewer than 3 usable rows above the fit threshold."""
 
 
+def _box_axes(box) -> list[tuple[Fraction, Fraction]]:
+    """A box as (lo, hi) Fraction pairs, each axis checked to be nonempty."""
+    box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
+    for lo, hi in box:
+        if not lo < hi:
+            raise ValueError(f"empty box axis [{lo}, {hi}]: need lo < hi")
+    return box
+
+
 def _rescale(t: np.ndarray, lo: Fraction, hi: Fraction) -> tuple[np.ndarray, np.ndarray]:
     """t mapped from [lo, hi] onto s in [-1, 1], and where the bump on that
     box axis is nonzero: |s| < 1."""
@@ -83,10 +92,7 @@ class BumpSpec:
     modulation: Optional[tuple[MultiPoly, float]] = None
 
     def __post_init__(self):
-        self.box = [(Fraction(lo), Fraction(hi)) for lo, hi in self.box]
-        for lo, hi in self.box:
-            if not lo < hi:
-                raise ValueError("empty or unbounded box axis")
+        self.box = _box_axes(self.box)
         if self.modulation is not None:
             q, lam = self.modulation
             if q.num_vars != len(self.box):
@@ -115,7 +121,7 @@ class QuadConfig:
     max_nodes_per_axis: Optional[int] = None
 
     def __post_init__(self):
-        self.domain_box = [(Fraction(lo), Fraction(hi)) for lo, hi in self.domain_box]
+        self.domain_box = _box_axes(self.domain_box)
         if self.nodes_per_axis < MIN_NODES_PER_AXIS:
             raise ValueError(f"nodes_per_axis must be >= {MIN_NODES_PER_AXIS}")
         if self.nodes_per_axis > self.node_cap():
@@ -525,6 +531,8 @@ def sweep(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     lams = [float(x) for x in lambdas]
     if len(lams) < 4:
         raise ValueError("need at least 4 lambda values")
+    if not all(map(math.isfinite, lams)):
+        raise ValueError("lambdas must be finite")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambdas must be strictly increasing")
     if adversarial_cert is None:
@@ -545,9 +553,12 @@ def sweep(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
 
 def fit_decay(s: DecaySweep, tail_from: float = 0.0) -> FitResult:
     """Least-squares fit log|I| = logC - rho*log(1+lambda) on the tail
-    rows that converged; stores and returns (rho, logC, r2)."""
+    rows that converged and have 1 + lambda > 0, where log1p is defined;
+    stores and returns (rho, logC, r2)."""
+    if not math.isfinite(tail_from):
+        raise ValueError("tail_from must be finite")
     pts = [(r.lam, r.abs) for r in s.rows
-           if r.lam >= tail_from and r.error is None and r.abs > 0.0]
+           if r.lam >= tail_from and r.lam > -1.0 and r.error is None and r.abs > 0.0]
     if len(pts) < 3:
         raise InsufficientTail(f"only {len(pts)} usable rows with lambda >= {tail_from}")
     x = np.log1p([lam for lam, _ in pts])

@@ -288,8 +288,13 @@ def _one_axis_spec(spec):
     (lambda s: s["quad"].update(refine_tol=-1e-4), "refine_tol"),
     (lambda s: s["quad"].update(refine_tol=float("nan")), "refine_tol"),
     (lambda s: s["maps"][0].update(rows=[["1", "0"], ["0", "1"]]), "bump box dimension"),
+    (lambda s: s["quad"]["domain_box"].__setitem__(0, ["1", "0"]), "empty box axis"),
+    (lambda s: s["quad"]["domain_box"].__setitem__(0, ["1/2", "1/2"]), "empty box axis"),
+    (lambda s: s["lambdas"].__setitem__(0, float("nan")), "lambdas must be finite"),
+    (lambda s: s.update(tail_from=float("nan")), "tail_from must be finite"),
 ], ids=["start-above-cap", "start-above-default-cap", "tol-zero", "tol-negative",
-        "tol-nan", "bump-box-short"])
+        "tol-nan", "bump-box-short", "box-reversed", "box-empty", "lambda-nan",
+        "tail-from-nan"])
 def test_sweep_bad_quad_exit_1(runner, tmp_path, edit, message):
     spec = read_json(FIXTURES / "demo-sweep.json")
     edit(spec)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscint.linalg import (
+    Factorisation,
     GenericityFailure,
     Mat,
     Subspace,
@@ -20,6 +21,7 @@ from oscint.linalg import (
     solve,
     subspace_sum,
 )
+from oscint.poly import degenerate_basis
 
 
 def test_rref_identity():
@@ -473,3 +475,66 @@ def test_subspace_canonical_form_is_primitive_integer_rows():
         rng.shuffle(other)
         T = Subspace(m, other)
         assert T == S and hash(T) == hash(S)
+
+
+def _fraction_factor(M: Mat) -> tuple[Factorisation, int]:
+    """The Gauss-Jordan loop over Fractions that factor replaced, and how
+    often a step met a nonzero row with a zero in its pivot column."""
+    a = [list(row) for row in M.entries]
+    nrows, ncols = M.rows, M.cols
+    pivots = []
+    steps = []
+    skips = 0
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pivot = a[r][c]
+        a[r] = [x / pivot for x in a[r]]
+        elims = []
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                elims.append((i, f))
+            elif i != r and any(a[i]):
+                skips += 1
+        pivots.append(c)
+        steps.append((piv, pivot, tuple(elims)))
+    return Factorisation(nrows, ncols, tuple(pivots), tuple(steps)), skips
+
+
+def test_factor_matches_fraction_reference(cltt_maps):
+    rng = random.Random(20)
+    mats = []
+    for k in range(1200):
+        m = k % 8
+        rows = _rational_rows(rng, m)
+        if k % 3:  # zeros in the pivot columns: steps skip rows and swap them
+            rows = [[x if rng.random() < 0.5 else Fraction(0) for x in row] for row in rows]
+        mats.append(Mat(rows, cols=m))
+    # the degeneracy matrices of the worked example and of the adversarial
+    # sweeps: the fixture's maps and the two coordinate planes of Q^4
+    planes = [Mat([[1, 0, 0, 0], [0, 0, 1, 0]]), Mat([[0, 1, 0, 0], [0, 0, 0, 1]])]
+    lines = [Mat([[1, 0]]), Mat([[0, 1]])]
+    for maps, degree in ((cltt_maps, 2), (cltt_maps, 3), (planes, 2), (planes, 3),
+                         (lines, 2), (lines, 3)):
+        mats.append(degenerate_basis(maps, degree))
+    seen = {"empty": 0, "zero_row": 0, "dependent": 0, "denominators": 0,
+            "skip": 0, "swap": 0}
+    for M in mats:
+        ref, skips = _fraction_factor(M)
+        assert factor(M) == ref, M
+        seen["empty"] += M.rows == 0 or M.cols == 0
+        seen["zero_row"] += any(not any(row) for row in M.entries)
+        seen["dependent"] += 0 < len(ref.pivots) < M.rows
+        seen["denominators"] += len({x.denominator for row in M.entries for x in row}) > 2
+        seen["skip"] += skips > 0
+        seen["swap"] += any(swap != r for r, (swap, _, _) in enumerate(ref.steps))
+    assert all(n >= 50 for n in seen.values()), seen
+    # the 35 x 20 matrix of the sweep-adversarial workload skips rows
+    assert _fraction_factor(degenerate_basis(planes, 3))[1] > 0

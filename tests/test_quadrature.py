@@ -243,6 +243,10 @@ def test_config_validation():
         QuadConfig(domain_box=[(0, 1)], rule="simpson")
     with pytest.raises(ValueError):
         BumpSpec(box=[(1, 1)])
+    # a reversed or an empty domain_box axis, as for a bump box
+    for axis in (("1", "0"), ("1/2", "1/2")):
+        with pytest.raises(ValueError, match="empty box axis"):
+            QuadConfig(domain_box=[(0, 1), axis])
     # a start above the node cap, the default one or a given one
     with pytest.raises(ValueError, match="node cap 4096"):
         QuadConfig(domain_box=[(0, 1)], nodes_per_axis=8192)
@@ -688,6 +692,31 @@ def test_fit_decay_tail_filter_and_insufficient():
     assert abs(fit.rho - 1.0) < 1e-9
     with pytest.raises(InsufficientTail):
         fit_decay(DecaySweep(rows=list(rows)), tail_from=500)
+
+
+def test_fit_decay_leaves_out_rows_without_log1p():
+    # log1p is undefined at 1 + lambda <= 0: those rows are left out, as
+    # unconverged ones are, and the rest fit |I| = 3 (1 + lambda)^-1/2
+    rows = [SweepRow(lam, complex(1.0), 1.0, 16) for lam in (-8, -4, -2, -1.5, -1)]
+    rows += [SweepRow(lam, complex(3.0 * (1 + lam) ** -0.5), 3.0 * (1 + lam) ** -0.5, 16)
+             for lam in (-0.5, 1, 10, 100)]
+    fit = fit_decay(DecaySweep(rows=rows), tail_from=-8)
+    assert abs(fit.rho - 0.5) < 1e-9
+    assert abs(fit.logC - math.log(3.0)) < 1e-9
+    with pytest.raises(InsufficientTail):
+        fit_decay(DecaySweep(rows=rows[:4]), tail_from=-8)
+
+
+def test_sweep_and_fit_reject_non_finite_lambdas():
+    p, pis, fs = MultiPoly(1, {(1,): 1}), [Mat([[1]])], [BumpSpec(box=list(UNIT))]
+    cfg = QuadConfig(domain_box=list(UNIT), nodes_per_axis=16, max_nodes_per_axis=32)
+    rows = [SweepRow(lam, complex(1.0 / (1 + lam)), 1.0 / (1 + lam), 16)
+            for lam in (1, 10, 100, 1000)]
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="lambdas must be finite"):
+            sweep(p, pis, fs, [1, 2, 3, bad], cfg)
+        with pytest.raises(ValueError, match="tail_from must be finite"):
+            fit_decay(DecaySweep(rows=list(rows)), tail_from=bad)
 
 
 def test_fit_decay_leaves_out_unconverged_rows():
