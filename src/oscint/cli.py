@@ -18,8 +18,9 @@ import click
 from . import records, schemas
 from .linalg import GenericityFailure
 from .poly import is_degenerate, mat_from_json, poly_from_json, report_to_json
-from .quadrature import (BumpSpec, InsufficientTail, QuadConfig, fit_decay,
-                         sweep, sweep_to_csv, sweep_to_json, truncated_axes)
+from .quadrature import (BumpSpec, InsufficientTail, QuadConfig, finite_float,
+                         fit_decay, sweep, sweep_to_csv, sweep_to_json,
+                         truncated_axes)
 from .resolution import resolution_to_json, resolve, verify_resolution
 from .snarl import check_weak_hypothesis, snarl_from_json
 
@@ -84,10 +85,6 @@ def _run_resolve(inp: dict):
 def _run_degeneracy(inp: dict):
     p = poly_from_json(inp["poly"])
     pis, labels = _maps_from_json(inp["maps"]["maps"])
-    for pi in pis:
-        if pi.cols != p.num_vars:
-            raise ValueError(f"map has {pi.cols} columns but the polynomial "
-                             f"has {p.num_vars} variables")
     report = is_degenerate(p, pis, max_degree=inp.get("degree"), labels=labels)
     return report_to_json(report), report
 
@@ -97,12 +94,14 @@ def _run_sweep(inp: dict):
     p = poly_from_json(spec["phase"])
     pis, labels = _maps_from_json(spec["maps"])
     bumps = [BumpSpec(box=_box(b["box"])) for b in spec["bumps"]]
+    lambdas = [finite_float(x, "lambdas") for x in spec["lambdas"]]
+    tail_from = finite_float(spec.get("tail_from", lambdas[0]), "tail_from")
     q = spec["quad"]
     cfg = QuadConfig(
         domain_box=_box(q["domain_box"]),
         nodes_per_axis=int(q["nodes_per_axis"]),
         rule=q.get("rule", "gauss-legendre"),
-        refine_tol=float(q.get("refine_tol", 1e-4)),
+        refine_tol=finite_float(q.get("refine_tol", 1e-4), "refine_tol"),
         max_nodes_per_axis=q.get("max_nodes_per_axis"),
     )
     cut = truncated_axes(pis, bumps, cfg.domain_box)
@@ -116,9 +115,9 @@ def _run_sweep(inp: dict):
         if not report.is_degenerate:
             raise ValueError("adversarial mode requires a degenerate phase")
         cert = report.certificate
-    result = sweep(p, pis, bumps, spec["lambdas"], cfg, adversarial_cert=cert)
+    result = sweep(p, pis, bumps, lambdas, cfg, adversarial_cert=cert)
     try:
-        fit_decay(result, float(spec.get("tail_from", spec["lambdas"][0])))
+        fit_decay(result, tail_from)
     except InsufficientTail:
         pass
     return sweep_to_json(result), result

@@ -2,6 +2,10 @@
 through linear maps, the degenerate subspace they span, the nondegeneracy
 decision with an exact certificate, and the float quotient norm.
 
+Every pullback is summed off one cached table per map and degree bound,
+_pullbacks, which holds e∘pi for each monomial e: compose, compose_affine,
+the degeneracy columns and the certificate checks all read it.
+
 The degenerate/nondegenerate boolean is always decided by exact rank over
 Q; floating point is used only for the numeric value of the quotient norm.
 """
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
@@ -172,53 +177,51 @@ def monomials(num_vars: int, max_degree: int) -> list[tuple[int, ...]]:
     return raw
 
 
+@lru_cache(maxsize=256)
+def _pullbacks(pi: Mat, max_degree: int) -> MappingProxyType:
+    """e∘pi for every monomial e of degree <= max_degree, keyed by e in
+    graded-lex order, as a tuple of (exps, coeff) terms.  Each e != 0 is
+    e' + unit_k, k the last variable e reads and e' earlier in the order,
+    so e∘pi is e'∘pi times row k of pi: one sparse product per monomial."""
+    forms = [[(i, a) for i, a in enumerate(row) if a != 0] for row in pi.entries]
+    exponents = monomials(pi.rows, max_degree)
+    table = {exponents[0]: (((0,) * pi.cols, Fraction(1)),)}
+    for e in exponents[1:]:
+        k = max(i for i, ei in enumerate(e) if ei)
+        out: dict[tuple[int, ...], Fraction] = {}
+        for exps, c in table[e[:k] + (e[k] - 1,) + e[k + 1:]]:
+            for i, a in forms[k]:
+                key = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+                out[key] = out.get(key, 0) + c * a
+        table[e] = tuple((exps, c) for exps, c in out.items() if c != 0)
+    return MappingProxyType(table)
+
+
 def compose(q: MultiPoly, pi: Mat) -> MultiPoly:
-    """q composed with the linear map pi: substitute each variable of q by
-    the corresponding row of pi as a linear form."""
+    """q composed with the linear map pi: q's coefficients summed against
+    the pullbacks of its monomials."""
     if q.num_vars != pi.rows:
         raise ValueError("q variable count != pi rows")
-    return _substitute(q, _linear_forms(pi), pi.cols)
+    table = _pullbacks(pi, q.degree())
+    return MultiPoly(pi.cols, _sum_pullbacks((c, table[e]) for e, c in q.terms.items()))
 
 
 def compose_affine(p: MultiPoly, M: Mat, c: Sequence[Fraction]) -> MultiPoly:
     """p composed with the affine map x -> Mx + c (M square, over the same
-    variables)."""
+    variables): p∘[M | c] with the extra variable set to 1."""
     if p.num_vars != M.rows or M.rows != M.cols or len(c) != M.rows:
         raise ValueError("affine map shape mismatch")
-    return _substitute(p, _linear_forms(M, c), M.cols)
+    lifted = compose(p, Mat([row + (ci,) for row, ci in zip(M.entries, c)]))
+    return MultiPoly(M.cols, [(e[:-1], v) for e, v in lifted.terms.items()])
 
 
-def _linear_forms(M: Mat, c: Sequence[Fraction] | None = None) -> list[MultiPoly]:
-    """Row i of M as a linear form in M.cols variables, plus the constant
-    c[i] when c is given."""
-    m = M.cols
-    unit = [tuple(int(j == k) for k in range(m)) for j in range(m)]
-    forms = []
-    for i, row in enumerate(M.entries):
-        terms = [(u, a) for u, a in zip(unit, row) if a != 0]
-        if c is not None:
-            terms.append(((0,) * m, c[i]))
-        forms.append(MultiPoly(m, terms))
-    return forms
-
-
-def _substitute(p: MultiPoly, forms: list[MultiPoly], out_vars: int) -> MultiPoly:
-    power_cache: dict[tuple[int, int], MultiPoly] = {}
-
-    def form_pow(i: int, k: int) -> MultiPoly:
-        key = (i, k)
-        if key not in power_cache:
-            power_cache[key] = forms[i].pow(k)
-        return power_cache[key]
-
-    result = MultiPoly.zero(out_vars)
-    for e, coeff in p.terms.items():
-        term = MultiPoly.constant(out_vars, coeff)
-        for i, ei in enumerate(e):
-            if ei:
-                term = term * form_pow(i, ei)
-        result = result + term
-    return result
+def _sum_pullbacks(scaled) -> dict[tuple[int, ...], Fraction]:
+    """Σ c·pullback over (c, pullback) pairs, as exps -> coeff."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for c, pullback in scaled:
+        for exps, v in pullback:
+            out[exps] = out.get(exps, 0) + c * v
+    return out
 
 
 def coefficient_vector(p: MultiPoly, basis: list[tuple[int, ...]]) -> list[Fraction]:
@@ -234,7 +237,7 @@ def coefficient_vector(p: MultiPoly, basis: list[tuple[int, ...]]) -> list[Fract
 @lru_cache(maxsize=256)
 def _degenerate_columns(pis: tuple[Mat, ...], max_degree: int):
     """Exact coefficient columns of q∘pi_j for every monomial q of degree
-    <= max_degree over each map's target.
+    <= max_degree over each map's target, read off the pullback tables.
 
     Returns (A, column metadata (j, exps), row monomials, the recorded
     elimination of A, a read-only float copy of A, and each column's
@@ -249,19 +252,18 @@ def _degenerate_columns(pis: tuple[Mat, ...], max_degree: int):
         if rank(pi) != pi.rows:
             raise ValueError("non-surjective map")
     row_basis = monomials(m, max_degree)
-    cols = []
-    meta = []
-    pullbacks = []
-    for j, pi in enumerate(pis):
-        for e in monomials(pi.rows, max_degree):
-            pullback = compose(MultiPoly.monomial(pi.rows, e), pi)
-            cols.append(coefficient_vector(pullback, row_basis))
-            meta.append((j, e))
-            pullbacks.append(tuple(pullback.terms.items()))
-    A = Mat([[cols[c][r] for c in range(len(cols))] for r in range(len(row_basis))])
+    tables = [_pullbacks(pi, max_degree) for pi in pis]
+    meta = tuple((j, e) for j, table in enumerate(tables) for e in table)
+    pullbacks = tuple(pb for table in tables for pb in table.values())
+    index = {e: r for r, e in enumerate(row_basis)}
+    rows = [[Fraction(0)] * len(pullbacks) for _ in row_basis]
+    for col, pullback in enumerate(pullbacks):
+        for exps, v in pullback:
+            rows[index[exps]][col] = v
+    A = Mat(rows)
     Af = A.to_float_array()
     Af.flags.writeable = False
-    return A, tuple(meta), tuple(row_basis), factor(A), Af, tuple(pullbacks)
+    return A, meta, tuple(row_basis), factor(A), Af, pullbacks
 
 
 def degenerate_basis(pis: Sequence[Mat], max_degree: int) -> Mat:
@@ -285,10 +287,14 @@ def is_degenerate(p: MultiPoly, pis: Sequence[Mat], max_degree: int | None = Non
     When it is, the certificate polynomials reproduce p exactly; when it is
     not, the report carries the float residual and its Euclidean length.
     """
+    pis = tuple(pis)
+    for pi in pis:
+        if pi.cols != p.num_vars:
+            raise ValueError(f"map has {pi.cols} columns but the polynomial "
+                             f"has {p.num_vars} variables")
     D = max_degree if max_degree is not None else max(p.degree(), 1)
     if p.degree() > D:
         raise ValueError("polynomial degree exceeds the requested bound")
-    pis = tuple(pis)
     if labels is None:
         labels = [f"pi{j}" for j in range(len(pis))]
     _, meta, row_basis, F, Af, pullbacks = _degenerate_columns(pis, D)
@@ -296,13 +302,11 @@ def is_degenerate(p: MultiPoly, pis: Sequence[Mat], max_degree: int | None = Non
     sol = F.solve(b)
     if sol is not None:
         cert_terms = [{} for _ in pis]
-        # sum of compose(q_j, pi_j), by linearity term by term
-        recon: dict[tuple[int, ...], Fraction] = {}
-        for c, (j, e), pullback in zip(sol, meta, pullbacks):
+        for c, (j, e) in zip(sol, meta):
             if c != 0:
                 cert_terms[j][e] = c
-                for exps, v in pullback:
-                    recon[exps] = recon.get(exps, 0) + c * v
+        # sum of compose(q_j, pi_j), by linearity term by term
+        recon = _sum_pullbacks((c, pb) for c, pb in zip(sol, pullbacks) if c != 0)
         assert MultiPoly(p.num_vars, recon) == p
         cert_polys = [MultiPoly(pi.rows, t) for pi, t in zip(pis, cert_terms)]
         return DegeneracyReport(True, list(zip(labels, cert_polys)), 0.0, {})

@@ -65,12 +65,27 @@ class InsufficientTail(Exception):
     """Fewer than 3 usable rows above the fit threshold."""
 
 
+def finite_float(x, what: str) -> float:
+    """x as a float, checked finite: a ValueError naming what, never an
+    OverflowError, when x is too large for a float."""
+    try:
+        f = float(x)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+    if not math.isfinite(f):
+        raise ValueError(f"{what} must be finite")
+    return f
+
+
 def _box_axes(box) -> list[tuple[Fraction, Fraction]]:
-    """A box as (lo, hi) Fraction pairs, each axis checked to be nonempty."""
+    """A box as (lo, hi) Fraction pairs, each axis checked to be nonempty
+    and to have float bounds."""
     box = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
     for lo, hi in box:
         if not lo < hi:
             raise ValueError(f"empty box axis [{lo}, {hi}]: need lo < hi")
+        for bound in (lo, hi):
+            finite_float(bound, "box bound")
     return box
 
 
@@ -528,11 +543,9 @@ def sweep(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec],
     marked failed.  With a certificate (verified once) each bump j is
     modulated by exp(-i*lam*Q_j) at the row's own lambda.
     """
-    lams = [float(x) for x in lambdas]
+    lams = [finite_float(x, "lambdas") for x in lambdas]
     if len(lams) < 4:
         raise ValueError("need at least 4 lambda values")
-    if not all(map(math.isfinite, lams)):
-        raise ValueError("lambdas must be finite")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambdas must be strictly increasing")
     if adversarial_cert is None:

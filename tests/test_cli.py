@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import random_snarl
-from oscint import schemas
+from oscint import quadrature, schemas
 from oscint.cli import _run_resolve, _run_sweep, main
 from oscint.linalg import Subspace, frac_str
 from oscint.records import TOOL_VERSION, canonical_json
@@ -292,9 +292,16 @@ def _one_axis_spec(spec):
     (lambda s: s["quad"]["domain_box"].__setitem__(0, ["1/2", "1/2"]), "empty box axis"),
     (lambda s: s["lambdas"].__setitem__(0, float("nan")), "lambdas must be finite"),
     (lambda s: s.update(tail_from=float("nan")), "tail_from must be finite"),
+    (lambda s: s["lambdas"].__setitem__(-1, 10**400), "lambdas is too large for a float"),
+    (lambda s: s["quad"]["domain_box"].__setitem__(0, ["1e400", "2e400"]),
+     "box bound is too large for a float"),
+    (lambda s: s.update(tail_from=10**400), "tail_from is too large for a float"),
+    (lambda s: (s.pop("tail_from"), s["lambdas"].__setitem__(0, 10**400)),
+     "lambdas is too large for a float"),
 ], ids=["start-above-cap", "start-above-default-cap", "tol-zero", "tol-negative",
         "tol-nan", "bump-box-short", "box-reversed", "box-empty", "lambda-nan",
-        "tail-from-nan"])
+        "tail-from-nan", "lambda-overflow", "box-overflow", "tail-from-overflow",
+        "first-lambda-overflow-no-tail-from"])
 def test_sweep_bad_quad_exit_1(runner, tmp_path, edit, message):
     spec = read_json(FIXTURES / "demo-sweep.json")
     edit(spec)
@@ -305,6 +312,21 @@ def test_sweep_bad_quad_exit_1(runner, tmp_path, edit, message):
     assert isinstance(res.exception, SystemExit), res.exception  # no traceback
     assert message in all_output(res)
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_checks_tail_from_before_quadrature(runner, tmp_path, monkeypatch):
+    refine = quadrature._refine
+    refined = []
+    monkeypatch.setattr(quadrature, "_refine",
+                        lambda *args: refined.append(args) or refine(*args))
+    spec = read_json(FIXTURES / "demo-sweep.json")
+    spec["tail_from"] = float("nan")
+    path = tmp_path / "spec.json"
+    write_json(path, spec)
+    res = runner.invoke(main, ["sweep", str(path), "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 1, res.output
+    assert "tail_from must be finite" in all_output(res)
+    assert not refined
 
 
 def test_sweep_adversarial_flat(runner, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from oscint.linalg import Mat, Subspace, rank
 from oscint.poly import (
     MultiPoly,
     _degenerate_columns,
+    _pullbacks,
     compose,
     compose_affine,
     degenerate_basis,
@@ -95,6 +97,103 @@ def test_compose_affine_shift():
     p = P(2, {(2, 0): 1})  # u^2
     out = compose_affine(p, Mat.identity(2), [Fraction(1), Fraction(0)])
     assert out == P(2, {(2, 0): 1, (1, 0): 2, (0, 0): 1})
+
+
+# --- the pullback table against the substitution it replaced ---------------
+
+def _reference_forms(M, c=None):
+    """Row i of M as a linear form in M.cols variables, plus the constant
+    c[i] when c is given."""
+    m = M.cols
+    unit = [tuple(int(j == k) for k in range(m)) for j in range(m)]
+    forms = []
+    for i, row in enumerate(M.entries):
+        terms = [(u, a) for u, a in zip(unit, row) if a != 0]
+        if c is not None:
+            terms.append(((0,) * m, c[i]))
+        forms.append(MultiPoly(m, terms))
+    return forms
+
+
+def _reference_substitute(p, forms, out_vars):
+    """p with variable i replaced by forms[i], by powers and products."""
+    result = MultiPoly.zero(out_vars)
+    for e, coeff in p.terms.items():
+        term = MultiPoly.constant(out_vars, coeff)
+        for form, ei in zip(forms, e):
+            term = term * form.pow(ei)
+        result = result + term
+    return result
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _random_poly(rng, num_vars, degree):
+    return MultiPoly(num_vars, [(e, _random_rational(rng))
+                                for e in monomials(num_vars, degree) if rng.random() < 0.6])
+
+
+def _random_map(rng, rows, cols):
+    """Rational entries; now and then a zero row."""
+    return Mat([[Fraction(0)] * cols if rng.random() < 0.15 else
+                [_random_rational(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def test_compose_matches_reference_substitution():
+    for seed in range(300):
+        rng = random.Random(seed)
+        rows, cols, degree = rng.randint(1, 3), rng.randint(1, 4), rng.randint(0, 3)
+        q, pi = _random_poly(rng, rows, degree), _random_map(rng, rows, cols)
+        assert compose(q, pi) == _reference_substitute(q, _reference_forms(pi), cols), seed
+
+
+def test_compose_affine_matches_reference_substitution():
+    for seed in range(300):
+        rng = random.Random(seed)
+        m, degree = rng.randint(1, 3), rng.randint(0, 3)
+        p, M = _random_poly(rng, m, degree), _random_map(rng, m, m)
+        c = [Fraction(0)] * m if seed % 2 else [_random_rational(rng) for _ in range(m)]
+        want = _reference_substitute(p, _reference_forms(M, c), m)
+        assert compose_affine(p, M, c) == want, seed
+
+
+ADVERSARIAL_SWEEP = Path(__file__).resolve().parent.parent / "fixtures" / "adversarial-sweep.json"
+
+
+@pytest.mark.parametrize("maps, degree", [("cltt", 2), ("cltt", 3),
+                                          ("adversarial", 2), ("adversarial", 3)])
+def test_degenerate_columns_match_reference_substitution(cltt_maps, maps, degree):
+    pis = tuple(cltt_maps) if maps == "cltt" else tuple(
+        mat_from_json(mp["rows"]) for mp in json.loads(ADVERSARIAL_SWEEP.read_text())["maps"])
+    m = pis[0].cols
+    row_basis = monomials(m, degree)
+    meta, pullbacks = [], []
+    for j, pi in enumerate(pis):
+        forms = _reference_forms(pi)
+        for e in monomials(pi.rows, degree):
+            meta.append((j, e))
+            pullbacks.append(_reference_substitute(MultiPoly.monomial(pi.rows, e), forms, m))
+    A = Mat([[pb.terms.get(r, Fraction(0)) for pb in pullbacks] for r in row_basis])
+    got_A, got_meta, got_rows, _, _, got_pullbacks = _degenerate_columns(pis, degree)
+    assert got_A == A
+    assert got_meta == tuple(meta)
+    assert got_rows == tuple(row_basis)
+    assert [dict(pb) for pb in got_pullbacks] == [pb.terms for pb in pullbacks]
+
+
+def test_pullback_table_is_read_only(cltt_maps):
+    table = _pullbacks(cltt_maps[2], 2)
+    assert list(table) == monomials(2, 2)
+    with pytest.raises(TypeError):
+        table[(1, 0)] = ()
+    with pytest.raises(TypeError):
+        table[(1, 0)][0] = ((0, 0, 0, 0), Fraction(5))
+    assert compose(P(2, {(1, 0): 1}), cltt_maps[2]) == P(4, {(1, 0, 0, 0): 1,
+                                                             (0, 1, 0, 0): 1})
+    # (x + y)(x - y): the cancelled xy term is not stored
+    assert dict(_pullbacks(Mat([[1, 1], [1, -1]]), 2)[(1, 1)]) == {(2, 0): 1, (0, 2): -1}
 
 
 # --- degenerate basis ------------------------------------------------------
@@ -192,6 +291,12 @@ def test_symmetric_cross_term_degenerate(cltt_maps):
     # x1*y2 + x2*y1 = (x1+x2)(y1+y2) - x1*y1 - x2*y2 is degenerate
     p = P(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1})
     assert is_degenerate(p, cltt_maps, max_degree=2).is_degenerate
+
+
+@pytest.mark.parametrize("p", [MultiPoly.zero(3), P(3, {(1, 1, 1): 1})])
+def test_is_degenerate_rejects_variable_count_mismatch(p, cltt_maps):
+    with pytest.raises(ValueError, match="map has 4 columns but the polynomial has 3"):
+        is_degenerate(p, cltt_maps[:2])
 
 
 def test_degree_bound_enforced(cltt_maps):
