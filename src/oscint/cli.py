@@ -16,11 +16,10 @@ from typing import Callable
 import click
 
 from . import records, schemas
-from .linalg import GenericityFailure
+from .linalg import GenericityFailure, finite_float
 from .poly import is_degenerate, mat_from_json, poly_from_json, report_to_json
-from .quadrature import (BumpSpec, InsufficientTail, QuadConfig, finite_float,
-                         fit_decay, sweep, sweep_to_csv, sweep_to_json,
-                         truncated_axes)
+from .quadrature import (BumpSpec, InsufficientTail, QuadConfig, fit_decay, sweep,
+                         sweep_to_csv, sweep_to_json, truncated_axes)
 from .resolution import resolution_to_json, resolve, verify_resolution
 from .snarl import check_weak_hypothesis, snarl_from_json
 
@@ -93,6 +92,12 @@ def _run_sweep(inp: dict):
     spec = inp["runspec"]
     p = poly_from_json(spec["phase"])
     pis, labels = _maps_from_json(spec["maps"])
+    for c in p.terms.values():
+        finite_float(c, "phase coefficient")
+    for pi in pis:
+        for row in pi.entries:
+            for x in row:
+                finite_float(x, "map entry")
     bumps = [BumpSpec(box=_box(b["box"])) for b in spec["bumps"]]
     lambdas = [finite_float(x, "lambdas") for x in spec["lambdas"]]
     tail_from = finite_float(spec.get("tail_from", lambdas[0]), "tail_from")

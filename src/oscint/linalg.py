@@ -15,6 +15,7 @@ polynomial layer read), and the Factorisation that solve replays.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -37,6 +38,18 @@ def frac_str(x: Fraction) -> str:
     """Compact "p" or "p/q" form used by all JSON wire formats."""
     x = _frac(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def finite_float(x, what: str) -> float:
+    """x as a float, checked finite: a ValueError naming what, never an
+    OverflowError, when x is too large for a float."""
+    try:
+        f = float(x)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+    if not math.isfinite(f):
+        raise ValueError(f"{what} must be finite")
+    return f
 
 
 class Mat:
@@ -89,7 +102,8 @@ class Mat:
     def to_float_array(self):
         import numpy as np
 
-        return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
+        return np.array([[finite_float(x, "matrix entry") for x in row]
+                         for row in self.entries], dtype=float)
 
 
 class Factorisation(NamedTuple):

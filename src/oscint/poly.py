@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Mat, factor, frac_str, rank, rref
+from .linalg import Mat, factor, finite_float, frac_str, rank, rref
 from .resolution import SplittingStep
 
 
@@ -132,7 +132,7 @@ class MultiPoly:
         out = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in xs)))
         powers: dict[tuple[int, int], np.ndarray] = {}
         for e, c in self.terms.items():
-            term = float(c)
+            term = finite_float(c, "phase coefficient")
             for i, ei in enumerate(e):
                 if ei:
                     if (i, ei) not in powers:
@@ -317,7 +317,7 @@ def is_degenerate(p: MultiPoly, pis: Sequence[Mat], max_degree: int | None = Non
 
 
 def _float_residual(Af: np.ndarray, b: Sequence[Fraction]) -> np.ndarray:
-    bf = np.array([float(x) for x in b])
+    bf = np.array([finite_float(x, "phase coefficient") for x in b])
     coeffs, *_ = np.linalg.lstsq(Af, bf, rcond=None)
     return bf - Af @ coeffs
 

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Mat
+from .linalg import Mat, finite_float
 from .poly import MultiPoly, compose
 
 DEFAULT_NODE_CAPS = {1: 4096, 2: 4096, 3: 512, 4: 64}
@@ -63,18 +63,6 @@ class NodeCapExceeded(Exception):
 
 class InsufficientTail(Exception):
     """Fewer than 3 usable rows above the fit threshold."""
-
-
-def finite_float(x, what: str) -> float:
-    """x as a float, checked finite: a ValueError naming what, never an
-    OverflowError, when x is too large for a float."""
-    try:
-        f = float(x)
-    except OverflowError:
-        raise ValueError(f"{what} is too large for a float") from None
-    if not math.isfinite(f):
-        raise ValueError(f"{what} must be finite")
-    return f
 
 
 def _box_axes(box) -> list[tuple[Fraction, Fraction]]:
@@ -412,10 +400,12 @@ def _factors(p: MultiPoly, pis: Sequence[Mat], fs: Sequence[BumpSpec]):
                  for (exps, c), support in zip(p.terms.items(), term_axes)
                  if group(support) == g}
         js = [j for j, support in enumerate(map_axes) if group(support) == g]
-        maps = [np.array([[float(row[i]) for i in axes] for row in pis[j].entries])
+        maps = [np.array([[finite_float(row[i], "map entry") for i in axes]
+                          for row in pis[j].entries])
                 for j in js]
         mus = [modulated.index(j) for j in js if j in modulated]
-        cuts = [[(float(c), lo, hi) for c, lo, hi in axis_cuts[i]] for i in axes]
+        cuts = [[(finite_float(c, "map entry"), lo, hi) for c, lo, hi in axis_cuts[i]]
+                for i in axes]
         out.append((axes, MultiPoly(len(axes), terms), maps, [fs[j] for j in js], mus,
                     cuts))
     return out

@@ -1,4 +1,9 @@
-"""JSON Schemas for every file format the CLI reads or writes."""
+"""JSON Schemas for every file format the CLI reads or writes, and their
+validation: a check compiled from each schema accepts what is certainly
+valid, and jsonschema runs on every input that check declines."""
+
+import math
+import re
 
 _RAT = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
 _RAT_OR_INT = {"anyOf": [_RAT, {"type": "integer"}]}
@@ -143,21 +148,137 @@ RECORD_SCHEMA = {
 }
 
 
-_VALIDATORS: dict[int, object] = {}  # id(schema) -> validator, which keeps schema alive
+_VALIDATORS: dict[int, tuple] = {}  # id(schema) -> (acceptor, validator); keeps schema alive
 
 
 def validate(obj, schema) -> None:
     """Raise the best-matching jsonschema.ValidationError if obj does not
-    match schema, as jsonschema.validate does.  The schema is checked
-    against its metaschema and its validator built on first use, then
-    reused."""
+    match schema, as jsonschema.validate does.
+
+    The acceptor compiled from the schema runs first, and obj is valid
+    when it accepts; jsonschema runs when it declines and raises the error
+    it finds, if any.  On first use the schema is checked against its
+    metaschema and the acceptor and validator are built, then reused."""
     import jsonschema
 
-    validator = _VALIDATORS.get(id(schema))
-    if validator is None:
+    entry = _VALIDATORS.get(id(schema))
+    if entry is None:
         cls = jsonschema.validators.validator_for(schema)
         cls.check_schema(schema)
-        validator = _VALIDATORS[id(schema)] = cls(schema)
+        entry = _VALIDATORS[id(schema)] = (_acceptor(schema), cls(schema))
+    accept, validator = entry
+    if accept(obj):
+        return
     error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
     if error is not None:
         raise error
+
+
+# ---------------------------------------------------------------------------
+# The acceptor: a predicate that is True only on instances jsonschema
+# certainly accepts.  It declines (is False) on anything it does not decide
+# for certain: a keyword it does not know, a non-string enum value, a float
+# for "integer", a bool, NaN or infinity for "number".  A keyword that
+# applies to one type (required, properties, items, pattern, minimum,
+# minItems) declines instances of other types, which jsonschema would pass.
+# Schemas reach it only after their metaschema check.
+
+
+def _decline(x) -> bool:
+    return False
+
+
+def _is_number(x) -> bool:
+    return type(x) is int or (type(x) is float and math.isfinite(x))
+
+
+_TYPES = {
+    "object": lambda x: type(x) is dict,
+    "array": lambda x: type(x) is list,
+    "string": lambda x: type(x) is str,
+    "integer": lambda x: type(x) is int,
+    "number": _is_number,
+    "boolean": lambda x: type(x) is bool,
+    "null": lambda x: x is None,
+}
+
+
+def _both(first, second):
+    return lambda x: first(x) and second(x)
+
+
+def _either(first, second):
+    return lambda x: first(x) or second(x)
+
+
+def _acceptor(schema):
+    """The acceptor compiled from schema: the conjunction of one check per
+    keyword, or _decline if a keyword is not one it decides."""
+    if not isinstance(schema, dict) or not schema:
+        return _decline
+    checks = []
+    for key, value in schema.items():
+        check = _KEYWORDS[key](value) if key in _KEYWORDS else None
+        if check is None:
+            return _decline
+        checks.append(check)
+    accept = checks[0]
+    for check in checks[1:]:
+        accept = _both(accept, check)
+    return accept
+
+
+def _type(names):
+    names = [names] if isinstance(names, str) else names
+    accept = _TYPES[names[0]]
+    for name in names[1:]:
+        accept = _either(accept, _TYPES[name])
+    return accept
+
+
+def _required(keys):
+    keys = tuple(keys)
+    return lambda x: type(x) is dict and all(key in x for key in keys)
+
+
+def _properties(props):
+    subs = tuple((key, _acceptor(sub)) for key, sub in props.items())
+    return lambda x: type(x) is dict and all(
+        accept(x[key]) for key, accept in subs if key in x)
+
+
+def _items(sub):
+    accept = _acceptor(sub)
+    return lambda x: type(x) is list and all(map(accept, x))
+
+
+def _any_of(subs):
+    accept = _acceptor(subs[0])
+    for sub in subs[1:]:
+        accept = _either(accept, _acceptor(sub))
+    return accept
+
+
+def _pattern(regex):
+    search = re.compile(regex).search
+    return lambda x: type(x) is str and search(x) is not None
+
+
+def _minimum(bound):
+    return lambda x: _is_number(x) and x >= bound
+
+
+def _min_items(count):
+    return lambda x: type(x) is list and len(x) >= count
+
+
+def _enum(values):
+    if not all(type(value) is str for value in values):
+        return None
+    values = frozenset(values)
+    return lambda x: type(x) is str and x in values
+
+
+_KEYWORDS = {"type": _type, "required": _required, "properties": _properties,
+             "items": _items, "anyOf": _any_of, "pattern": _pattern,
+             "minimum": _minimum, "minItems": _min_items, "enum": _enum}

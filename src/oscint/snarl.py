@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
-from .linalg import Subspace, intersect
+from .linalg import Subspace, _annihilator, intersect
 
 
 class NonOneDimensional(Exception):
@@ -161,20 +160,47 @@ def is_onedim_general_position(s: Snarl) -> bool:
     """For a snarl of hyperplanes: is every set of <= m of the normal
     directions linearly independent?
 
-    Checking subsets of size exactly min(n, m) suffices: a full-rank set
-    has full-rank subsets.
+    Checking subsets of size exactly k = min(n, m) suffices: a full-rank
+    set has full-rank subsets.  The k-subsets are walked depth first, in
+    the order of the entries, so each prefix is reduced once for all the
+    subsets that share it.  A new normal is reduced fraction-free against
+    the echelon rows of its prefix (Bareiss, Math. Comp. 22 (1968)): each
+    step cross-multiplies by the pivot and divides exactly by the one
+    before, so the entries stay minors of the integer normals.  It is
+    dependent on its prefix exactly when it reduces to zero, and then some
+    k-subset is dependent.
     """
     m = s.ambient_dim
     normals = []
     for label, sub in s.entries:
         if sub.codim != 1:
             raise NonOneDimensional(f"entry {label!r} has codimension {sub.codim}")
-        normals.append(sub.annihilator().rows[0])
-    k = min(len(normals), m)
-    for subset in combinations(normals, k):
-        if Subspace(m, subset).dim != k:
-            return False
-    return True
+        normals.append(_annihilator(sub)[0][0])
+    n = len(normals)
+    k = min(n, m)
+    echelon = []  # (row, pivot column, pivot, previous pivot) per prefix normal
+
+    def extend(start: int) -> bool:
+        """Do all k-subsets that extend the prefix by normals[start:] have
+        full rank?"""
+        if len(echelon) == k:
+            return True
+        prev = echelon[-1][2] if echelon else 1
+        for i in range(start, n - k + len(echelon) + 1):
+            v = normals[i]
+            for row, c, p, d in echelon:
+                f = v[c]
+                v = [(p * x - f * y) // d for x, y in zip(v, row)]
+            c = next((c for c, x in enumerate(v) if x), None)
+            if c is None:
+                return False
+            echelon.append((v, c, v[c], prev))
+            if not extend(i + 1):
+                return False
+            echelon.pop()
+        return True
+
+    return extend(0)
 
 
 # ---------------------------------------------------------------------------

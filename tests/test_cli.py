@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import random_snarl
-from oscint import quadrature, schemas
+from oscint import cli, quadrature, schemas
 from oscint.cli import _run_resolve, _run_sweep, main
 from oscint.linalg import Subspace, frac_str
 from oscint.records import TOOL_VERSION, canonical_json
@@ -329,6 +329,50 @@ def test_sweep_checks_tail_from_before_quadrature(runner, tmp_path, monkeypatch)
     assert not refined
 
 
+BIG = "1" + "0" * 400  # passes the rational-string schema, overflows a float
+
+
+@pytest.mark.parametrize("adversarial", [False, True])
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s["phase"]["terms"][0].update(coeff=BIG),
+     "phase coefficient is too large for a float"),
+    (lambda s: s["maps"][0]["rows"][0].__setitem__(0, BIG),
+     "map entry is too large for a float"),
+], ids=["phase-coeff-overflow", "map-entry-overflow"])
+def test_sweep_oversized_number_exit_1_before_any_work(runner, tmp_path, monkeypatch,
+                                                       edit, message, adversarial):
+    monkeypatch.setattr(cli, "is_degenerate", lambda *args, **kw: pytest.fail("exact work"))
+    monkeypatch.setattr(quadrature, "_refine", lambda *args: pytest.fail("quadrature"))
+    spec = read_json(FIXTURES / "demo-sweep.json")
+    edit(spec)
+    path = tmp_path / "spec.json"
+    write_json(path, spec)
+    res = runner.invoke(main, ["sweep", str(path), "--out", str(tmp_path / "x.csv")]
+                        + ["--adversarial"] * adversarial)
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.stderr == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("poly_edit, maps_edit, message", [
+    (lambda p: p["terms"][0].update(coeff=BIG), lambda m: None,
+     "phase coefficient is too large for a float"),
+    (lambda p: None, lambda m: m["maps"][0]["rows"][0].__setitem__(0, BIG),
+     "matrix entry is too large for a float"),
+], ids=["phase-coeff-overflow", "map-entry-overflow"])
+def test_degeneracy_oversized_number_exit_1(runner, tmp_path, poly_edit, maps_edit, message):
+    poly, maps = read_json(FIXTURES / "antisym-phase.json"), read_json(FIXTURES / "cltt-maps.json")
+    poly_edit(poly)
+    maps_edit(maps)
+    write_json(tmp_path / "p.json", poly)
+    write_json(tmp_path / "m.json", maps)
+    res = runner.invoke(main, ["degeneracy", str(tmp_path / "p.json"), str(tmp_path / "m.json")])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.stderr == f"error: {message}\n"
+
+
 def test_sweep_adversarial_flat(runner, tmp_path):
     out = tmp_path / "adv.csv"
     res = runner.invoke(main, ["sweep", str(FIXTURES / "adversarial-sweep.json"),
@@ -534,6 +578,22 @@ def test_replay_malformed_recorded_input_exit_1(runner, tmp_path):
         assert isinstance(res.exception, SystemExit), (i, res.exception)
         assert res.exit_code == 1, (i, res.output)
         assert "schema violation" in all_output(res), i
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda r: r["input"].update(seed=True), "input.seed"),
+    (lambda r: r["input"]["snarl"]["subspaces"][0].update(label=5), "input.snarl"),
+], ids=["bool-seed", "integer-label"])
+def test_replay_recorded_input_schema_edge_values_exit_1(runner, tmp_path, edit, where):
+    # jsonschema rejects a bool for "integer" and an integer for "string"
+    rec = read_json(RECORDS / "cltt-example-seed0.record.json")
+    edit(rec)
+    path = tmp_path / "edited.json"
+    write_json(path, rec)
+    res = runner.invoke(main, ["replay", str(path)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 1, res.output
+    assert f"{where}: schema violation" in res.stderr
 
 
 # --- output schemas ----------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -205,6 +206,42 @@ def test_onedim_general_position_empty_snarl():
 def test_onedim_rejects_higher_codim(cltt_snarl):
     with pytest.raises(NonOneDimensional):
         is_onedim_general_position(cltt_snarl)
+
+
+def _reference_general_position(s):
+    """The subset-by-subset check: every min(n, m)-subset of the normals,
+    each reduced from scratch."""
+    m = s.ambient_dim
+    normals = [sub.annihilator().rows[0] for _, sub in s.entries]
+    k = min(len(normals), m)
+    return all(Subspace(m, subset).dim == k for subset in combinations(normals, k))
+
+
+def test_onedim_general_position_matches_subset_reference():
+    rng = random.Random(20240611)
+    answers = []
+    shapes = set()
+    repeated = 0
+    for _ in range(2400):
+        m, n = rng.randint(2, 6), rng.randint(1, 9)
+        normals = []
+        for _ in range(n):
+            if normals and rng.random() < 0.05:
+                normals.append(list(rng.choice(normals)))
+                repeated += 1
+                continue
+            v = [0] * m
+            while not any(v):
+                v = [rng.randint(-2, 2) for _ in range(m)]
+            normals.append(v)
+        s = Snarl(m, [(f"h{i}", hyperplane(m, v)) for i, v in enumerate(normals)])
+        expect = _reference_general_position(s)
+        assert is_onedim_general_position(s) == expect, normals
+        answers.append(expect)
+        shapes.add(n <= m)
+    assert shapes == {True, False}
+    assert repeated > 50
+    assert len(answers) / 3 <= answers.count(False) <= 2 * len(answers) / 3
 
 
 def test_snarl_validation():
