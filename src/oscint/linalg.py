@@ -99,12 +99,6 @@ class Mat:
         return Mat([[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
                     for row in self.entries], cols=other.cols)
 
-    def to_float_array(self):
-        import numpy as np
-
-        return np.array([[finite_float(x, "matrix entry") for x in row]
-                         for row in self.entries], dtype=float)
-
 
 class Factorisation(NamedTuple):
     """The row operations of one Gauss-Jordan elimination of a matrix.

@@ -4,7 +4,7 @@ decision with an exact certificate, and the float quotient norm.
 
 Every pullback is summed off one cached table per map and degree bound,
 _pullbacks, which holds e∘pi for each monomial e: compose, compose_affine,
-the degeneracy columns and the certificate checks all read it.
+the degeneracy columns and the one certificate check all read it.
 
 The degenerate/nondegenerate boolean is always decided by exact rank over
 Q; floating point is used only for the numeric value of the quotient norm.
@@ -224,6 +224,12 @@ def _sum_pullbacks(scaled) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
+def _check_certificate(p: MultiPoly, scaled) -> None:
+    """Raise unless Σ c·pullback over the (c, pullback) pairs is p."""
+    if MultiPoly(p.num_vars, _sum_pullbacks(scaled)) != p:
+        raise ValueError("invalid certificate: pullback sum does not equal the phase")
+
+
 def coefficient_vector(p: MultiPoly, basis: list[tuple[int, ...]]) -> list[Fraction]:
     index = {e: i for i, e in enumerate(basis)}
     vec = [Fraction(0)] * len(basis)
@@ -242,6 +248,8 @@ def _degenerate_columns(pis: tuple[Mat, ...], max_degree: int):
     Returns (A, column metadata (j, exps), row monomials, the recorded
     elimination of A, a read-only float copy of A, and each column's
     pullback as a tuple of (exps, coeff)); nothing in it can be mutated.
+    Only the quotient norm reads the float copy; it is all inf when an
+    entry is too large for a float.
     """
     if not pis:
         raise ValueError("need at least one map")
@@ -261,7 +269,10 @@ def _degenerate_columns(pis: tuple[Mat, ...], max_degree: int):
         for exps, v in pullback:
             rows[index[exps]][col] = v
     A = Mat(rows)
-    Af = A.to_float_array()
+    try:
+        Af = np.array([[float(x) for x in row] for row in A.entries])
+    except OverflowError:  # the quotient norm, its only reader, refuses it
+        Af = np.full((A.rows, A.cols), np.inf)
     Af.flags.writeable = False
     return A, meta, tuple(row_basis), factor(A), Af, pullbacks
 
@@ -284,8 +295,8 @@ def is_degenerate(p: MultiPoly, pis: Sequence[Mat], max_degree: int | None = Non
                   labels: Sequence[str] | None = None) -> DegeneracyReport:
     """Decide exactly whether p is a sum of pullbacks through the maps.
 
-    When it is, the certificate polynomials reproduce p exactly; when it is
-    not, the report carries the float residual and its Euclidean length.
+    When it is, the certificate polynomials reproduce p exactly (checked
+    before return); when it is not, the report carries the float residual.
     """
     pis = tuple(pis)
     for pi in pis:
@@ -305,9 +316,7 @@ def is_degenerate(p: MultiPoly, pis: Sequence[Mat], max_degree: int | None = Non
         for c, (j, e) in zip(sol, meta):
             if c != 0:
                 cert_terms[j][e] = c
-        # sum of compose(q_j, pi_j), by linearity term by term
-        recon = _sum_pullbacks((c, pb) for c, pb in zip(sol, pullbacks) if c != 0)
-        assert MultiPoly(p.num_vars, recon) == p
+        _check_certificate(p, ((c, pb) for c, pb in zip(sol, pullbacks) if c != 0))
         cert_polys = [MultiPoly(pi.rows, t) for pi, t in zip(pis, cert_terms)]
         return DegeneracyReport(True, list(zip(labels, cert_polys)), 0.0, {})
     resid = _float_residual(Af, b)
@@ -318,6 +327,8 @@ def is_degenerate(p: MultiPoly, pis: Sequence[Mat], max_degree: int | None = Non
 
 def _float_residual(Af: np.ndarray, b: Sequence[Fraction]) -> np.ndarray:
     bf = np.array([finite_float(x, "phase coefficient") for x in b])
+    if not np.isfinite(Af).all():
+        raise ValueError("matrix entry is too large for a float")
     coeffs, *_ = np.linalg.lstsq(Af, bf, rcond=None)
     return bf - Af @ coeffs
 

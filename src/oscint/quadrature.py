@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import Mat, finite_float
-from .poly import MultiPoly, compose
+from .poly import MultiPoly, _check_certificate, _pullbacks
 
 DEFAULT_NODE_CAPS = {1: 4096, 2: 4096, 3: 512, 4: 64}
 MIN_NODES_PER_AXIS = 8
@@ -513,14 +513,16 @@ def adversarial_functions(p: MultiPoly, pis: Sequence[Mat],
                           lam: float) -> list[BumpSpec]:
     """Modulated bumps f_j(t) = exp(-i*lam*Q_j(t)) * bump(t) whose product
     cancels the phase lam*P exactly, given an exact certificate
-    P = sum_j Q_j o pi_j.  The certificate is re-verified before use."""
+    P = sum_j Q_j o pi_j, re-verified by is_degenerate's own check."""
     if len(cert) != len(pis) or len(boxes) != len(pis):
         raise ValueError("certificate / boxes / maps length mismatch")
-    recon = MultiPoly.zero(p.num_vars)
+    scaled = []
     for (_, q), pi in zip(cert, pis):
-        recon = recon + compose(q, pi)
-    if recon != p:
-        raise ValueError("invalid certificate: pullback sum does not equal the phase")
+        if q.num_vars != pi.rows:
+            raise ValueError("q variable count != pi rows")
+        table = _pullbacks(pi, q.degree())
+        scaled += [(c, table[e]) for e, c in q.terms.items()]
+    _check_certificate(p, scaled)
     return [BumpSpec(box=list(box), modulation=(q, lam))
             for (_, q), box in zip(cert, boxes)]
 

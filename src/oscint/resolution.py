@@ -17,7 +17,6 @@ from .linalg import (
     Mat,
     Subspace,
     constraint_matrix,
-    factor,
     intersect,
     kernel,
     random_subspace,
@@ -82,7 +81,8 @@ def balance_partition(kappas: list[tuple[str, int]], excluded: str):
 
     Greedy largest-first (ties by input order): each label goes to the
     currently lighter group, so the final gap never exceeds the largest
-    item, which is at most the excluded codimension.
+    item: at most the excluded codimension when that is the largest, as in
+    resolve.  A larger gap raises ValueError.
     """
     kappa0 = dict(kappas)[excluded]
     rest = [(lab, k) for lab, k in kappas if lab != excluded]
@@ -99,7 +99,9 @@ def balance_partition(kappas: list[tuple[str, int]], excluded: str):
         else:
             s2.add(lab)
             k2 += k
-    assert s1 and s2 and abs(k1 - k2) <= kappa0
+    if abs(k1 - k2) > kappa0:
+        raise ValueError(f"codimension sums {k1} and {k2} differ by more than "
+                         f"{kappa0}, the codimension of {excluded!r}")
     return frozenset(s1), frozenset(s2)
 
 
@@ -203,26 +205,13 @@ def resolve(s: Snarl, seed: int) -> Resolution:
 
 def derived_projections(step: SplittingStep, pi0: Mat) -> tuple[Mat, Mat]:
     """Surjective maps whose kernels are V0+W'' and V0+W', both factoring
-    exactly through the parent map pi0 of the split entry."""
+    exactly through the parent map pi0 of the split entry: D = L·pi0 holds
+    iff ker pi0 ⊆ ker D, and the check below makes ker pi0 = V0 ⊆ V0+W."""
     v0 = step.parent.subspace(step.witness.alpha0)
     if kernel(pi0) != v0:
         raise ValueError("pi0 kernel does not match the split entry")
-    pi_n = constraint_matrix(subspace_sum(v0, step.Wdoubleprime))
-    pi_n1 = constraint_matrix(subspace_sum(v0, step.Wprime))
-    for derived in (pi_n, pi_n1):
-        _factor_through(derived, pi0)
-    return pi_n, pi_n1
-
-
-def _factor_through(derived: Mat, pi0: Mat) -> Mat:
-    """Exact L with L @ pi0 == derived; raises if no such L exists."""
-    F = factor(pi0.transpose())
-    rows = [F.solve(row) for row in derived.entries]
-    if None in rows:
-        raise ValueError("derived projection does not factor through pi0")
-    L = Mat(rows)
-    assert L.matmul(pi0) == derived
-    return L
+    return (constraint_matrix(subspace_sum(v0, step.Wdoubleprime)),
+            constraint_matrix(subspace_sum(v0, step.Wprime)))
 
 
 def verify_resolution(r: Resolution) -> dict:

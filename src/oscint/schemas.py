@@ -5,8 +5,10 @@ valid, and jsonschema runs on every input that check declines."""
 import math
 import re
 
-_RAT = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
+_RAT = {"type": "string", "pattern": r"^-?\d+(/\d*[1-9]\d*)?$"}  # nonzero denominator
 _RAT_OR_INT = {"anyOf": [_RAT, {"type": "integer"}]}
+_DECIMAL = {"type": "string", "pattern": r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"}
+_BOUND = {"anyOf": [_RAT, _DECIMAL, {"type": "number"}]}  # a domain_box bound
 
 _VECTOR = {"type": "array", "items": _RAT_OR_INT}
 _MATRIX = {"type": "array", "items": _VECTOR}
@@ -122,6 +124,7 @@ RUNSPEC_SCHEMA = {
             "required": ["nodes_per_axis", "domain_box"],
             "properties": {
                 "nodes_per_axis": {"type": "integer", "minimum": 8},
+                "domain_box": {"type": "array", "items": {"type": "array", "items": _BOUND}},
                 "rule": {"enum": ["gauss-legendre", "midpoint"]},
                 "refine_tol": {"type": "number"},
                 "max_nodes_per_axis": {"type": "integer"},

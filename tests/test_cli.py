@@ -298,10 +298,11 @@ def _one_axis_spec(spec):
     (lambda s: s.update(tail_from=10**400), "tail_from is too large for a float"),
     (lambda s: (s.pop("tail_from"), s["lambdas"].__setitem__(0, 10**400)),
      "lambdas is too large for a float"),
+    (lambda s: s["quad"]["domain_box"][0].__setitem__(0, "0/0"), "schema violation"),
 ], ids=["start-above-cap", "start-above-default-cap", "tol-zero", "tol-negative",
         "tol-nan", "bump-box-short", "box-reversed", "box-empty", "lambda-nan",
         "tail-from-nan", "lambda-overflow", "box-overflow", "tail-from-overflow",
-        "first-lambda-overflow-no-tail-from"])
+        "first-lambda-overflow-no-tail-from", "box-zero-denominator"])
 def test_sweep_bad_quad_exit_1(runner, tmp_path, edit, message):
     spec = read_json(FIXTURES / "demo-sweep.json")
     edit(spec)
@@ -371,6 +372,39 @@ def test_degeneracy_oversized_number_exit_1(runner, tmp_path, poly_edit, maps_ed
     assert res.exit_code == 1, res.output
     assert isinstance(res.exception, SystemExit), res.exception  # no traceback
     assert res.stderr == f"error: {message}\n"
+
+
+def _zero_denominator_resolve(tmp_path):
+    snarl = read_json(FIXTURES / "cltt-example.json")
+    snarl["subspaces"][0]["basis"][0][0] = "1/0"
+    write_json(tmp_path / "s.json", snarl)
+    return ["resolve", str(tmp_path / "s.json")], tmp_path / "s.json"
+
+
+def _zero_denominator_degeneracy(tmp_path):
+    poly = read_json(FIXTURES / "antisym-phase.json")
+    poly["terms"][0]["coeff"] = "3/0"
+    write_json(tmp_path / "p.json", poly)
+    args = ["degeneracy", str(tmp_path / "p.json"), str(FIXTURES / "cltt-maps.json")]
+    return args, tmp_path / "p.json"
+
+
+@pytest.mark.parametrize("make", [_zero_denominator_resolve, _zero_denominator_degeneracy],
+                         ids=["resolve", "degeneracy"])
+def test_zero_denominator_is_a_schema_violation(runner, tmp_path, make):
+    # sweep and replay carry the same case in their own exit-1 tests
+    args, where = make(tmp_path)
+    res = runner.invoke(main, args)
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.exit_code == 1, all_output(res)
+    assert res.stderr.startswith(f"error: {where}: schema violation")
+
+
+@pytest.mark.parametrize("bound", ["1e-3", "-2.5E2", ".5", "1.", 0.25, -1, "-3/4"])
+def test_sweep_domain_box_bound_forms_pass_the_schema(bound):
+    spec = read_json(FIXTURES / "demo-sweep.json")
+    spec["quad"]["domain_box"][0][0] = bound
+    schemas.validate(spec, schemas.RUNSPEC_SCHEMA)
 
 
 def test_sweep_adversarial_flat(runner, tmp_path):
@@ -583,7 +617,9 @@ def test_replay_malformed_recorded_input_exit_1(runner, tmp_path):
 @pytest.mark.parametrize("edit, where", [
     (lambda r: r["input"].update(seed=True), "input.seed"),
     (lambda r: r["input"]["snarl"]["subspaces"][0].update(label=5), "input.snarl"),
-], ids=["bool-seed", "integer-label"])
+    (lambda r: r["input"]["snarl"]["subspaces"][0]["basis"][0].__setitem__(0, "1/0"),
+     "input.snarl"),
+], ids=["bool-seed", "integer-label", "zero-denominator"])
 def test_replay_recorded_input_schema_edge_values_exit_1(runner, tmp_path, edit, where):
     # jsonschema rejects a bool for "integer" and an integer for "string"
     rec = read_json(RECORDS / "cltt-example-seed0.record.json")

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscint.linalg import Mat, Subspace, rank
+from oscint.linalg import Factorisation, Mat, Subspace, rank
 from oscint.poly import (
     MultiPoly,
     _degenerate_columns,
@@ -297,6 +297,39 @@ def test_symmetric_cross_term_degenerate(cltt_maps):
 def test_is_degenerate_rejects_variable_count_mismatch(p, cltt_maps):
     with pytest.raises(ValueError, match="map has 4 columns but the polynomial has 3"):
         is_degenerate(p, cltt_maps[:2])
+
+
+@pytest.mark.parametrize("column", [0, -1])
+def test_is_degenerate_raises_value_error_on_failed_reconstruction(cltt_maps, monkeypatch,
+                                                                  column):
+    # a solve that returns a wrong solution is caught by the certificate
+    # check, as a ValueError, not an assert that python -O would drop
+    p = P(4, {(1, 0, 1, 0): 1, (0, 2, 0, 0): 3})
+    assert is_degenerate(p, cltt_maps, max_degree=2).is_degenerate
+    solve = Factorisation.solve
+
+    def perturbed(self, b):
+        sol = solve(self, b)
+        sol[column] += 1
+        return sol
+
+    monkeypatch.setattr(Factorisation, "solve", perturbed)
+    with pytest.raises(ValueError, match="invalid certificate"):
+        is_degenerate(p, cltt_maps, max_degree=2)
+
+
+def test_degenerate_decision_needs_no_float_copy(cltt_maps):
+    # an entry of 10^400 in the degree-2 matrix cannot be a float: the
+    # exact decision of a degenerate phase never reads the float copy, and
+    # the quotient norm of a non-degenerate one refuses it
+    big = Mat([[10**200, 0, 0, 0], [0, 0, 1, 0]])
+    pis = [big] + list(cltt_maps[1:])
+    rep = is_degenerate(P(4, {(1, 0, 0, 0): 1}), pis, max_degree=2)
+    assert rep.is_degenerate and rep.quotient_norm == 0.0
+    _, _, _, _, Af, _ = _degenerate_columns(tuple(pis), 2)
+    assert not Af.flags.writeable
+    with pytest.raises(ValueError, match="matrix entry is too large for a float"):
+        is_degenerate(P(4, {(1, 0, 0, 1): 1}), pis, max_degree=2)
 
 
 def test_degree_bound_enforced(cltt_maps):

@@ -607,6 +607,24 @@ def test_adversarial_rejects_bad_certificate(adversarial_setup):
         adversarial_functions(p, pis, bad, [list(UNIT), list(UNIT)], 3.0)
 
 
+def test_adversarial_rejects_certificate_variable_count_mismatch(adversarial_setup):
+    p, pis, cert = adversarial_setup
+    bad = [(cert[0][0], MultiPoly(2, {(2, 0): 1}))] + list(cert[1:])
+    with pytest.raises(ValueError, match="q variable count != pi rows"):
+        adversarial_functions(p, pis, bad, [list(UNIT), list(UNIT)], 3.0)
+
+
+def test_adversarial_checks_the_sum_over_all_maps():
+    # x1^2 = (u^2 + u)∘pi0 + (-u)∘pi1: neither term alone is x1^2, their sum is
+    p = MultiPoly(2, {(2, 0): 1})
+    pis = [Mat([[1, 0]]), Mat([[1, 0]])]
+    q0, q1 = MultiPoly(1, {(2,): 1, (1,): 1}), MultiPoly(1, {(1,): -1})
+    fs = adversarial_functions(p, pis, [("a", q0), ("b", q1)], [list(UNIT)] * 2, 3.0)
+    assert [f.modulation for f in fs] == [(q0, 3.0), (q1, 3.0)]
+    with pytest.raises(ValueError, match="invalid certificate"):
+        adversarial_functions(p, pis, [("a", q0), ("b", q1 + q1)], [list(UNIT)] * 2, 3.0)
+
+
 def test_adversarial_lambda_zero_unmodulated(adversarial_setup):
     p, pis, cert = adversarial_setup
     fs = adversarial_functions(p, pis, cert, [list(UNIT), list(UNIT)], 0.0)

@@ -1,16 +1,19 @@
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from conftest import random_snarl
 from test_snarl import transverse_by_definition
-from oscint.linalg import (GenericityFailure, Mat, Subspace, intersect,
-                           kernel, random_subspace, subspace_sum)
+from oscint.linalg import (GenericityFailure, Mat, Subspace, constraint_matrix,
+                           intersect, kernel, random_subspace, rank, solve,
+                           subspace_sum)
 from oscint.resolution import (
     CannotPartition,
     NotSplittable,
+    SplittingStep,
     balance_partition,
     construct_transverse_splitting,
     derived_projections,
@@ -33,6 +36,21 @@ def test_balance_partition_worked_example():
 def test_balance_partition_greedy():
     s1, s2 = balance_partition([("a", 3), ("b", 3), ("c", 1), ("d", 1)], "a")
     assert {s1, s2} == {frozenset({"b"}), frozenset({"c", "d"})}
+
+
+def test_balance_partition_rejects_gap_above_excluded_codim():
+    # greedy puts b (4) and c (1) on opposite sides: a gap of 3 > codim a = 2
+    with pytest.raises(ValueError, match="differ by more than 2, the codimension of 'a'"):
+        balance_partition([("a", 2), ("b", 4), ("c", 1)], "a")
+
+
+def test_split_of_a_non_maximal_entry_raises_value_error():
+    s = Snarl(6, [("a", random_subspace(6, 4, seed=71)),
+                  ("b", random_subspace(6, 2, seed=72)),
+                  ("c", random_subspace(6, 5, seed=73))])
+    assert [sub.codim for _, sub in s.entries] == [2, 4, 1]
+    with pytest.raises(ValueError, match="codimension sums 4 and 1"):
+        construct_transverse_splitting(s, "a", seed=0)
 
 
 def test_balance_partition_too_few():
@@ -164,6 +182,50 @@ def test_derived_projections_random_step():
     v0 = s.subspace(alpha0)
     assert kernel(pi_n) == subspace_sum(v0, step.Wdoubleprime)
     assert kernel(pi_n1) == subspace_sum(v0, step.Wprime)
+
+
+def _factoring(derived: Mat, pi0: Mat) -> Mat:
+    """L with L @ pi0 == derived, one row per solve against pi0^T."""
+    rows = [solve(pi0.transpose(), row) for row in derived.entries]
+    assert None not in rows, "a derived row is not in pi0's row space"
+    return Mat(rows, cols=pi0.rows)
+
+
+def _scrambled(pi: Mat, rng: random.Random) -> Mat:
+    """pi premultiplied by a random invertible integer matrix: the same
+    kernel, but not the canonical constraint matrix."""
+    while True:
+        R = Mat([[rng.randint(-3, 3) for _ in range(pi.rows)] for _ in range(pi.rows)])
+        if rank(R) == pi.rows:
+            return R.matmul(pi)
+
+
+def _check_factoring(step: SplittingStep, pi0: Mat):
+    derived = derived_projections(step, pi0)
+    for D in derived:
+        assert _factoring(D, pi0).matmul(pi0) == D
+    return derived
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_derived_projections_factor_through_pi0_worked_example(cltt_snarl, cltt_maps, seed):
+    maps = dict(zip(("pi0", "pi1", "pi2"), cltt_maps))
+    r = resolve(cltt_snarl, seed)
+    assert r.steps
+    for step in r.steps:
+        _check_factoring(step, maps[step.witness.alpha0])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_derived_projections_factor_through_pi0_random_steps(seed):
+    rng = random.Random(seed)
+    r = resolve(random_snarl(seed), seed)
+    for step in r.steps:
+        v0 = step.parent.subspace(step.witness.alpha0)
+        pi0 = _scrambled(constraint_matrix(v0), rng)
+        pi_n, pi_n1 = _check_factoring(step, pi0)
+        assert kernel(pi_n) == subspace_sum(v0, step.Wdoubleprime)
+        assert kernel(pi_n1) == subspace_sum(v0, step.Wprime)
 
 
 def test_verify_resolution_detects_tampering(cltt_snarl):
