@@ -7,6 +7,7 @@ failure, 3 quadrature non-convergence, 4 replay failure or mismatch.
 
 from __future__ import annotations
 
+import importlib
 import json
 import sys
 from fractions import Fraction
@@ -43,12 +44,11 @@ def _load_json(path: str):
 
 
 def _validate(obj, schema, where: str) -> None:
-    from jsonschema import ValidationError
-
+    """Exit 1 on a schema violation; jsonschema is imported only then."""
     try:
         schemas.validate(obj, schema)
-    except ValidationError as exc:
-        _fail(EXIT_INPUT, f"{where}: schema violation: {exc}")
+    except importlib.import_module("jsonschema").ValidationError as exc:
+        _fail(EXIT_INPUT, f"{where}: schema violation: {exc.message} at {exc.json_path}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -109,11 +109,6 @@ def _run_sweep(inp: dict):
         refine_tol=finite_float(q.get("refine_tol", 1e-4), "refine_tol"),
         max_nodes_per_axis=q.get("max_nodes_per_axis"),
     )
-    cut = truncated_axes(pis, bumps, cfg.domain_box)
-    if cut:
-        click.echo(f"warning: domain_box cuts the amplitude off on "
-                   f"{', '.join(f'x{i + 1}' for i in cut)}; its boundary terms "
-                   f"distort the fitted decay", err=True)
     cert = None
     if inp["adversarial"]:
         report = is_degenerate(p, pis, labels=labels)
@@ -121,6 +116,11 @@ def _run_sweep(inp: dict):
             raise ValueError("adversarial mode requires a degenerate phase")
         cert = report.certificate
     result = sweep(p, pis, bumps, lambdas, cfg, adversarial_cert=cert)
+    cut = truncated_axes(pis, bumps, cfg.domain_box)
+    if cut:
+        click.echo(f"warning: domain_box cuts the amplitude off on "
+                   f"{', '.join(f'x{i + 1}' for i in cut)}; its boundary terms "
+                   f"distort the fitted decay", err=True)
     try:
         fit_decay(result, tail_from)
     except InsufficientTail:
@@ -278,6 +278,8 @@ def cmd_replay(record_json):
         click.echo(f"warning: record from version {record['tool_version']}, "
                    f"this is {records.TOOL_VERSION}; best-effort replay", err=True)
     command = record["command"]
+    if command == "sweep":
+        _validate(record["output"], schemas.SWEEP_SCHEMA, f"{record_json}: output")
     new_out, _ = _execute(command, record["input"],
                           lambda field: f"{record_json}: input.{field}", replay=True)
     if command == "sweep":

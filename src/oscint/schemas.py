@@ -1,6 +1,8 @@
 """JSON Schemas for every file format the CLI reads or writes, and their
 validation: a check compiled from each schema accepts what is certainly
-valid, and jsonschema runs on every input that check declines."""
+valid, and jsonschema runs only on an input that check declines, to find
+the error.  The schemas are constants; the test suite checks them against
+their metaschema, so no run checks them."""
 
 import math
 import re
@@ -90,6 +92,8 @@ REPORT_SCHEMA = {
     },
 }
 
+_NUMBER = {"type": "number"}
+
 SWEEP_SCHEMA = {
     "type": "object",
     "required": ["rows", "fit"],
@@ -99,8 +103,16 @@ SWEEP_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["lambda", "abs", "nodes"],
+                "properties": {"lambda": _NUMBER, "abs": _NUMBER,
+                               "nodes": {"type": "integer"},
+                               "error": {"type": ["string", "null"]}},
             },
         },
+        "fit": {"anyOf": [{"type": "null"}, {
+            "type": "object",
+            "required": ["rho", "logC", "r2"],
+            "properties": {"rho": _NUMBER, "logC": _NUMBER, "r2": _NUMBER},
+        }]},
     },
 }
 
@@ -151,27 +163,24 @@ RECORD_SCHEMA = {
 }
 
 
-_VALIDATORS: dict[int, tuple] = {}  # id(schema) -> (acceptor, validator); keeps schema alive
+_ACCEPTORS: dict[int, tuple] = {}  # id(schema) -> (acceptor, schema); keeps schema alive
 
 
 def validate(obj, schema) -> None:
     """Raise the best-matching jsonschema.ValidationError if obj does not
     match schema, as jsonschema.validate does.
 
-    The acceptor compiled from the schema runs first, and obj is valid
-    when it accepts; jsonschema runs when it declines and raises the error
-    it finds, if any.  On first use the schema is checked against its
-    metaschema and the acceptor and validator are built, then reused."""
-    import jsonschema
-
-    entry = _VALIDATORS.get(id(schema))
-    if entry is None:
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        entry = _VALIDATORS[id(schema)] = (_acceptor(schema), cls(schema))
-    accept, validator = entry
+    The acceptor compiled from the schema (on first use, then reused)
+    decides: obj is valid when it accepts.  Only when it declines is
+    jsonschema imported, and it raises the error it finds, if any."""
+    if id(schema) not in _ACCEPTORS:
+        _ACCEPTORS[id(schema)] = (_acceptor(schema), schema)
+    accept, _ = _ACCEPTORS[id(schema)]
     if accept(obj):
         return
+    import jsonschema
+
+    validator = jsonschema.validators.validator_for(schema)(schema)
     error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
     if error is not None:
         raise error
@@ -184,7 +193,8 @@ def validate(obj, schema) -> None:
 # for "integer", a bool, NaN or infinity for "number".  A keyword that
 # applies to one type (required, properties, items, pattern, minimum,
 # minItems) declines instances of other types, which jsonschema would pass.
-# Schemas reach it only after their metaschema check.
+# Schemas reach it unchecked: the test suite checks each against its
+# metaschema.
 
 
 def _decline(x) -> bool:

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -261,7 +264,7 @@ def test_sweep_does_not_warn_inside_domain_box(runner, tmp_path, fixture, box, a
     assert res.stderr == ""
 
 
-@pytest.mark.parametrize("row", [["1", "0", "5"], ["1"]])
+@pytest.mark.parametrize("row", [["1", "0", "5"], ["1"], ["0", "0", "1"]])
 def test_sweep_map_column_count_mismatch_exit_1(runner, tmp_path, row):
     spec = read_json(FIXTURES / "demo-sweep.json")
     spec["maps"][0]["rows"] = [row]
@@ -299,10 +302,11 @@ def _one_axis_spec(spec):
     (lambda s: (s.pop("tail_from"), s["lambdas"].__setitem__(0, 10**400)),
      "lambdas is too large for a float"),
     (lambda s: s["quad"]["domain_box"][0].__setitem__(0, "0/0"), "schema violation"),
+    (lambda s: s["quad"]["domain_box"].pop(), "phase variable count != domain dimension"),
 ], ids=["start-above-cap", "start-above-default-cap", "tol-zero", "tol-negative",
         "tol-nan", "bump-box-short", "box-reversed", "box-empty", "lambda-nan",
         "tail-from-nan", "lambda-overflow", "box-overflow", "tail-from-overflow",
-        "first-lambda-overflow-no-tail-from", "box-zero-denominator"])
+        "first-lambda-overflow-no-tail-from", "box-zero-denominator", "box-one-axis"])
 def test_sweep_bad_quad_exit_1(runner, tmp_path, edit, message):
     spec = read_json(FIXTURES / "demo-sweep.json")
     edit(spec)
@@ -398,6 +402,36 @@ def test_zero_denominator_is_a_schema_violation(runner, tmp_path, make):
     assert isinstance(res.exception, SystemExit), res.exception  # no traceback
     assert res.exit_code == 1, all_output(res)
     assert res.stderr.startswith(f"error: {where}: schema violation")
+
+
+def _zero_denominator_sweep(tmp_path):
+    spec = read_json(FIXTURES / "demo-sweep.json")
+    spec["quad"]["domain_box"][0][0] = "0/0"
+    write_json(tmp_path / "s.json", spec)
+    args = ["sweep", str(tmp_path / "s.json"), "--out", str(tmp_path / "x.csv")]
+    return args, tmp_path / "s.json"
+
+
+def _zero_denominator_replay(tmp_path):
+    rec = read_json(RECORDS / "cltt-example-seed0.record.json")
+    rec["input"]["snarl"]["subspaces"][0]["basis"][0][0] = "1/0"
+    write_json(tmp_path / "r.json", rec)
+    return ["replay", str(tmp_path / "r.json")], f"{tmp_path / 'r.json'}: input.snarl"
+
+
+@pytest.mark.parametrize("make, at", [
+    (_zero_denominator_resolve, "$.subspaces[0].basis[0][0]"),
+    (_zero_denominator_degeneracy, "$.terms[0].coeff"),
+    (_zero_denominator_sweep, "$.quad.domain_box[0][0]"),
+    (_zero_denominator_replay, "$.subspaces[0].basis[0][0]"),
+], ids=["resolve", "degeneracy", "sweep", "replay"])
+def test_schema_violation_is_one_line(runner, tmp_path, make, at):
+    args, where = make(tmp_path)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1, all_output(res)
+    assert res.stderr.startswith(f"error: {where}: schema violation: ")
+    assert res.stderr.endswith(f" at {at}\n")
+    assert res.stderr.count("\n") == 1, res.stderr
 
 
 @pytest.mark.parametrize("bound", ["1e-3", "-2.5E2", ".5", "1.", 0.25, -1, "-3/4"])
@@ -630,6 +664,52 @@ def test_replay_recorded_input_schema_edge_values_exit_1(runner, tmp_path, edit,
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 1, res.output
     assert f"{where}: schema violation" in res.stderr
+
+
+@pytest.mark.parametrize("edit, at", [
+    (lambda r: r.update(output={}), "$"),
+    (lambda r: r.update(output=[1]), "$"),
+    (lambda r: r["output"].update(rows=5), "$.rows"),
+    (lambda r: r["output"]["rows"][0].pop("nodes"), "$.rows[0]"),
+    (lambda r: r["output"]["rows"][0].update({"abs": "0.5"}), "$.rows[0].abs"),
+    (lambda r: r["output"]["fit"].pop("rho"), "$.fit"),
+], ids=["empty", "list", "rows-int", "row-without-nodes", "abs-string", "fit-without-rho"])
+def test_replay_malformed_sweep_output_exit_1(runner, tmp_path, edit, at):
+    # the recorded output is checked against SWEEP_SCHEMA before it is compared
+    rec = read_json(RECORDS / "demo-sweep.record.json")
+    edit(rec)
+    path = tmp_path / "edited.json"
+    write_json(path, rec)
+    res = runner.invoke(main, ["replay", str(path)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 1, res.output
+    assert res.stderr.startswith(f"error: {path}: output: schema violation: ")
+    assert res.stderr.endswith(f" at {at}\n")
+    assert res.stderr.count("\n") == 1, res.stderr
+
+
+def test_valid_runs_never_import_jsonschema(tmp_path):
+    # jsonschema only explains a rejection: a valid input of each command,
+    # and the replay of the records they write, never import it
+    runs = [["resolve", str(FIXTURES / "cltt-example.json"), "--out", str(tmp_path)],
+            ["degeneracy", str(FIXTURES / "antisym-phase.json"), str(FIXTURES / "cltt-maps.json"),
+             "--out", str(tmp_path / "report.json")],
+            ["sweep", str(FIXTURES / "adversarial-sweep.json"), "--adversarial",
+             "--out", str(tmp_path / "sweep.csv")],
+            ["replay", str(tmp_path / "report.record.json")],
+            ["replay", str(tmp_path / "sweep.record.json")]]
+    script = ("import sys\nfrom oscint.cli import main\n"
+              f"for args in {runs!r}:\n"
+              "    main(args, standalone_mode=False)\n"
+              "    assert 'jsonschema' not in sys.modules, args\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"run_id"') == 3
+    assert proc.stdout.count("replay ok") == 2
 
 
 # --- output schemas ----------------------------------------------------------

@@ -19,6 +19,16 @@ def test_every_schema_passes_its_metaschema():
         jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
+def test_every_command_field_schema_passes_its_metaschema():
+    # no run checks a schema: the constants are checked above, and the
+    # inline field schemas of the CLI commands here
+    inline = [schema for _, fields in COMMANDS.values() for schema in fields.values()
+              if not any(schema is s for s in SCHEMAS.values())]
+    assert len(inline) == 3
+    for schema in inline:
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
 @pytest.mark.parametrize("obj", [
     {"m": 2},
     {"m": "2", "subspaces": []},
@@ -40,6 +50,16 @@ def test_validator_built_once_per_schema(monkeypatch):
     schemas.validate({"vars": 2, "terms": []}, schemas.POLY_SCHEMA)
     with pytest.raises(jsonschema.ValidationError):
         schemas.validate({"vars": 0, "terms": []}, schemas.POLY_SCHEMA)
+
+
+def test_validate_never_checks_the_schema(monkeypatch):
+    schema = copy.deepcopy(schemas.POLY_SCHEMA)  # a schema validate has not seen
+    cls = jsonschema.validators.validator_for(schema)
+    monkeypatch.setattr(cls, "check_schema", classmethod(
+        lambda c, schema: pytest.fail("schema checked")))
+    schemas.validate({"vars": 1, "terms": []}, schema)
+    with pytest.raises(jsonschema.ValidationError):
+        schemas.validate({"vars": 0, "terms": []}, schema)
 
 
 # --- the acceptor in front of jsonschema ------------------------------------
