@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -242,10 +243,18 @@ def cmd_sweep(runspec_json, out_csv, adversarial, allow_unconverged):
 # replay
 
 
+def _agree(a: float, b: float, slack: float) -> bool:
+    """Equal, both NaN, or both finite and at most slack apart."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return True
+    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= slack
+
+
 def _compare_sweeps(old: dict, new: dict, tol: float) -> list[str]:
-    """Rows must agree in error flag, node count and |I| (relative tol); the
-    fit in rho, logC and r2 within tol * max(1, |value|), since a flat
-    sweep's rho is rounding noise around 0."""
+    """Rows must agree in error flag, lambda and node count (exactly) and
+    |I| (relative tol); the fit in rho, logC and r2 within tol * max(1,
+    |value|), since a flat sweep's rho is rounding noise around 0.  See
+    _agree for NaN and infinities."""
     diffs = []
     if len(old["rows"]) != len(new["rows"]):
         return [f"row count {len(old['rows'])} != {len(new['rows'])}"]
@@ -253,17 +262,19 @@ def _compare_sweeps(old: dict, new: dict, tol: float) -> list[str]:
         if a.get("error") != b.get("error"):
             diffs.append(f"row {i}: error flag {a.get('error')} != {b.get('error')}")
             continue
+        if a["lambda"] != b["lambda"]:
+            diffs.append(f"row {i}: lambda {a['lambda']} != {b['lambda']}")
         if a["nodes"] != b["nodes"]:
             diffs.append(f"row {i}: nodes {a['nodes']} != {b['nodes']}")
         denom = max(abs(a["abs"]), abs(b["abs"]), 1e-300)
-        if abs(a["abs"] - b["abs"]) > tol * denom:
+        if not _agree(a["abs"], b["abs"], tol * denom):
             diffs.append(f"row {i}: |I| {a['abs']} vs {b['abs']} (rel tol {tol})")
     fa, fb = old["fit"], new["fit"]
     if (fa is None) != (fb is None):
         diffs.append(f"fit {fa} != {fb}")
     elif fa is not None:
         for key in ("rho", "logC", "r2"):
-            if abs(fa[key] - fb[key]) > tol * max(1.0, abs(fa[key])):
+            if not _agree(fa[key], fb[key], tol * max(1.0, abs(fa[key]))):
                 diffs.append(f"fit.{key} {fa[key]} vs {fb[key]} (tol {tol})")
     return diffs
 
@@ -274,6 +285,8 @@ def cmd_replay(record_json):
     """Re-execute a recorded run and diff it against the stored output."""
     record = _load_json(record_json)
     _validate(record, schemas.RECORD_SCHEMA, record_json)
+    if not math.isfinite(record["tolerance"]):
+        _fail(EXIT_INPUT, f"{record_json}: tolerance {record['tolerance']} is not finite")
     if record["tool_version"] != records.TOOL_VERSION:
         click.echo(f"warning: record from version {record['tool_version']}, "
                    f"this is {records.TOOL_VERSION}; best-effort replay", err=True)

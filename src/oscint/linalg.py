@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
@@ -28,6 +29,9 @@ class GenericityFailure(Exception):
 
 # retry cap for generic draws; failures surface, never absorbed
 RANDOM_SUBSPACE_MAX_DRAWS = 64
+
+# the constructors of the frozen value types set their fields through this
+_set = object.__setattr__
 
 
 def _frac(x) -> Fraction:
@@ -52,38 +56,28 @@ def finite_float(x, what: str) -> float:
     return f
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Mat:
-    """Dense matrix with Fraction entries, row-major, held as a tuple of
-    tuples so its rows cannot be modified in place.  Mats are hashed and
-    cached; do not rebind their attributes."""
+    """Dense matrix with Fraction entries, row-major: a frozen value whose
+    entries are a tuple of tuples, so it is safe to hash and cache."""
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
-        self.entries = tuple(tuple(_frac(x) for x in row) for row in entries)
-        self.rows = len(self.entries)
-        if self.entries:
-            self.cols = len(self.entries[0])
-        else:
-            self.cols = 0 if cols is None else cols
-        for row in self.entries:
-            if len(row) != self.cols:
+        entries = tuple(tuple(_frac(x) for x in row) for row in entries)
+        cols = len(entries[0]) if entries else cols or 0
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged matrix")
+        _set(self, "rows", len(entries))
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Mat)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return f"Mat({self.entries!r})"
@@ -246,11 +240,11 @@ def solve(A: Mat, b: Sequence[Fraction]) -> list[Fraction] | None:
     return factor(A).solve(b)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Subspace:
-    """Linear subspace of Q^m in canonical form: `rows` are the rows of its
-    reduced row-echelon basis, each scaled to coprime integers with a
-    positive pivot, and `pivots` their pivot columns.  Both are tuples, so
-    they cannot be modified in place; do not rebind attributes.
+    """Linear subspace of Q^m in canonical form, a frozen value: `rows` are
+    the rows of its reduced row-echelon basis, each scaled to coprime
+    integers with a positive pivot, and `pivots` their pivot columns.
 
     The canonical form makes equality of subspaces equality of
     representations, which every general-position predicate relies on.
@@ -258,20 +252,26 @@ class Subspace:
     denominators cleared on entry.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+    ambient_dim: int
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...] = field(compare=False)  # fixed by rows: not in == or hash
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
         rows = [_int_row(v) for v in vectors]
         if any(len(row) != ambient_dim for row in rows):
             raise ValueError("vector length != ambient dimension")
-        self.ambient_dim = ambient_dim
-        self.rows, self.pivots = _reduce(rows, ambient_dim)
+        rows, pivots = _reduce(rows, ambient_dim)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "rows", rows)
+        _set(self, "pivots", pivots)
 
     @staticmethod
     def _canonical(m: int, rows, pivots) -> "Subspace":
         """The subspace whose canonical rows and pivots these already are."""
         S = object.__new__(Subspace)
-        S.ambient_dim, S.rows, S.pivots = m, tuple(rows), tuple(pivots)
+        _set(S, "ambient_dim", m)
+        _set(S, "rows", tuple(rows))
+        _set(S, "pivots", tuple(pivots))
         return S
 
     @staticmethod
@@ -296,16 +296,6 @@ class Subspace:
     @property
     def codim(self) -> int:
         return self.ambient_dim - self.dim
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"Subspace(m={self.ambient_dim}, dim={self.dim})"

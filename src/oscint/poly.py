@@ -76,9 +76,6 @@ class MultiPoly:
                 and self.num_vars == other.num_vars
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if self.num_vars != other.num_vars:
             raise ValueError("variable count mismatch")

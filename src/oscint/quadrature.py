@@ -100,6 +100,7 @@ class BumpSpec:
             q, lam = self.modulation
             if q.num_vars != len(self.box):
                 raise ValueError("modulation variable count != box dimension")
+            self.modulation = (q, finite_float(lam, "modulation frequency"))
 
     def cutoff(self, t: Sequence[np.ndarray]) -> np.ndarray:
         """The real bump, without modulation, at points given as one array
@@ -501,7 +502,7 @@ def eval_integral(p: MultiPoly, lam: float, pis: Sequence[Mat],
     Returns (value, final nodes per axis); raises NodeCapExceeded if the
     cap is hit first.
     """
-    (result,) = _refine(p, pis, fs, cfg, [(float(lam), _frequencies(fs))])
+    (result,) = _refine(p, pis, fs, cfg, [(finite_float(lam, "lambda"), _frequencies(fs))])
     if isinstance(result, NodeCapExceeded):
         raise result
     return result

@@ -12,28 +12,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import Subspace, _annihilator, intersect
+from .linalg import Subspace, _annihilator, _set, intersect
 
 
 class NonOneDimensional(Exception):
     """Raised when a codim-1-only predicate meets a higher-codim entry."""
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Snarl:
-    """Ambient dimension plus an ordered list of (label, subspace) entries.
+    """Ambient dimension plus an ordered tuple of (label, subspace) entries,
+    a frozen value.
 
     Every subspace must be proper and nonzero (codimension in [1, m-1]);
-    labels are unique.  The entries are a tuple; do not rebind attributes
-    after construction.
+    labels are unique.
     """
 
-    __slots__ = ("ambient_dim", "entries")
+    ambient_dim: int
+    entries: tuple[tuple[str, Subspace], ...]
 
     def __init__(self, ambient_dim: int, entries):
-        self.ambient_dim = ambient_dim
-        self.entries = tuple((label, sub) for label, sub in entries)
+        entries = tuple((label, sub) for label, sub in entries)
         seen = set()
-        for label, sub in self.entries:
+        for label, sub in entries:
             if label in seen:
                 raise ValueError(f"duplicate label {label!r}")
             seen.add(label)
@@ -42,6 +43,8 @@ class Snarl:
             if not 1 <= sub.codim <= ambient_dim - 1:
                 raise ValueError(
                     f"entry {label!r}: codimension {sub.codim} outside [1, {ambient_dim - 1}]")
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "entries", entries)
 
     def labels(self) -> list[str]:
         return [label for label, _ in self.entries]
@@ -54,11 +57,6 @@ class Snarl:
 
     def __len__(self):
         return len(self.entries)
-
-    def __eq__(self, other):
-        return (isinstance(other, Snarl)
-                and self.ambient_dim == other.ambient_dim
-                and self.entries == other.entries)
 
     def __repr__(self):
         return f"Snarl(m={self.ambient_dim}, entries={self.labels()})"

@@ -577,6 +577,48 @@ def test_replay_sweep_mismatches_exit_4(runner, tmp_path):
         assert named in _replay_mismatch(runner, tmp_path, rec), tamper.__name__
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda out: out["rows"][1].update({"abs": float("nan")}), "row 1: |I| nan vs "),
+    (lambda out: out["rows"][1].update({"abs": float("inf")}), "row 1: |I| inf vs "),
+    (lambda out: out["fit"].update(rho=float("nan")), "fit.rho nan vs "),
+    (lambda out: out["rows"][1].update({"lambda": 99.0}), "row 1: lambda 99.0 != "),
+], ids=["abs-nan", "abs-inf", "rho-nan", "lambda-moved"])
+def test_replay_non_finite_or_moved_value_exit_4(runner, tmp_path, edit, named):
+    # a NaN or infinite recorded value agrees only with the same value, and
+    # each row's lambda must come back exactly
+    rec = read_json(RECORDS / "adversarial-sweep.record.json")
+    edit(rec["output"])
+    assert named in _replay_mismatch(runner, tmp_path, rec)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_replay_non_finite_tolerance_exit_1(runner, tmp_path, tolerance):
+    # the schema's minimum: 0 lets NaN and infinity through, and either
+    # would accept any |I|
+    rec = read_json(RECORDS / "adversarial-sweep.record.json")
+    rec["tolerance"] = tolerance
+    rec["output"]["rows"][1]["abs"] *= 3
+    rec["output"]["fit"]["rho"] += 1
+    path = tmp_path / "tolerance.json"
+    write_json(path, rec)
+    res = runner.invoke(main, ["replay", str(path)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 1, res.output
+    assert res.stderr == f"error: {path}: tolerance {tolerance} is not finite\n"
+
+
+def test_compare_sweeps_same_non_finite_values_agree():
+    nan, inf = float("nan"), float("inf")
+    out = {"rows": [{"lambda": 1.0, "re": nan, "im": nan, "abs": nan, "nodes": 16, "error": None},
+                    {"lambda": 2.0, "re": inf, "im": 0.0, "abs": inf, "nodes": 16, "error": None}],
+           "fit": {"rho": nan, "logC": inf, "r2": nan}}
+    assert cli._compare_sweeps(out, json.loads(json.dumps(out)), 1e-9) == []
+    moved = json.loads(json.dumps(out))
+    moved["rows"][0]["abs"] = moved["fit"]["logC"] = 1.0
+    assert cli._compare_sweeps(out, moved, 1e-9) == [
+        "row 0: |I| nan vs 1.0 (rel tol 1e-09)", "fit.logC inf vs 1.0 (tol 1e-09)"]
+
+
 def test_replay_invalid_recorded_snarl_exit_1(runner, tmp_path):
     # inputs that pass the schema but are not valid snarls: exit 1 as
     # `oscint resolve` does on the same snarl

@@ -538,3 +538,29 @@ def test_factor_matches_fraction_reference(cltt_maps):
     assert all(n >= 50 for n in seen.values()), seen
     # the 35 x 20 matrix of the sweep-adversarial workload skips rows
     assert _fraction_factor(degenerate_basis(planes, 3))[1] > 0
+
+
+@pytest.mark.parametrize("value, fields", [
+    (Mat([[1, 2], [3, 4]]), ("rows", "cols", "entries")),
+    (Subspace(3, [[1, 2, 3]]), ("ambient_dim", "rows", "pivots")),
+], ids=["Mat", "Subspace"])
+def test_value_fields_cannot_be_rebound(value, fields):
+    # a rebound field would change the hash of a cached key
+    for name in fields:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+
+
+def test_value_hashes_keep_their_formulas():
+    # the lru_cache keys of the pullback and degeneracy tables
+    M = Mat([[1, Fraction(1, 2)], [0, 3]])
+    assert hash(M) == hash((M.rows, M.cols, M.entries))
+    S = Subspace(3, [[2, 4, 6], [0, 1, 1]])
+    assert hash(S) == hash((S.ambient_dim, S.rows))
+    # equality ignores the pivots and any other type
+    assert S == Subspace._canonical(3, S.rows, ())
+    assert M != (M.rows, M.cols, M.entries) and S != (S.ambient_dim, S.rows, S.pivots)

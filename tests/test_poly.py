@@ -465,3 +465,16 @@ def test_poly_json_round_trip():
 def test_mat_json_round_trip(cltt_maps):
     obj = json.loads(json.dumps(mat_to_json(cltt_maps[2])))
     assert mat_from_json(obj) == cltt_maps[2]
+
+
+def test_multipoly_is_not_hashable():
+    # its terms are a public, mutable dict
+    with pytest.raises(TypeError):
+        hash(P(2, {(1, 0): 1}))
+
+
+def test_equal_maps_share_one_pullback_table():
+    A = Mat([[7, 11], [13, 17]])
+    B = Mat([[Fraction(14, 2), 11], [13, Fraction(17)]])
+    assert A is not B and A == B
+    assert _pullbacks(A, 2) is _pullbacks(B, 2)

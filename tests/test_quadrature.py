@@ -262,6 +262,26 @@ def test_config_validation():
         BumpSpec(box=list(UNIT), modulation=(MultiPoly(2, {(1, 1): 1}), 1.0))
 
 
+@pytest.mark.parametrize("lam, message", [
+    (float("nan"), "must be finite"),
+    (float("inf"), "must be finite"),
+    (10 ** 400, "is too large for a float"),
+], ids=["nan", "inf", "huge-int"])
+def test_lambda_must_be_finite(lam, message):
+    # checked before any quadrature, as sweep checks its lambdas
+    p = MultiPoly(1, {(1,): 1})
+    cfg = QuadConfig(domain_box=[(0, 1)], max_nodes_per_axis=256)
+    with pytest.raises(ValueError, match=f"lambda {message}"):
+        eval_integral(p, lam, [Mat([[1]])], [BumpSpec(box=list(UNIT))], cfg)
+    with pytest.raises(ValueError, match=f"modulation frequency {message}"):
+        BumpSpec(box=list(UNIT), modulation=(p, lam))
+
+
+def test_float_lambda_keeps_its_bits():
+    lam = 0.1 + 0.2
+    assert BumpSpec(box=list(UNIT), modulation=(MultiPoly(1), lam)).modulation[1].hex() == lam.hex()
+
+
 def test_eval_shape_validation(product_setup):
     p, pis, fs, cfg = product_setup
     with pytest.raises(ValueError):

@@ -349,3 +349,14 @@ def test_transverse_splitting_matches_definition():
     # most tampered cases are still splittings, so the partition conditions
     # and the deleted ones are what decide them
     assert splittings > tampered // 2
+
+
+def test_snarl_is_a_frozen_hashable_value():
+    line = Subspace(3, [[1, 0, 0]])
+    s = Snarl(3, [("a", line), ("b", Subspace(3, [[0, 1, 0]]))])
+    for name in ("ambient_dim", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+    twin = Snarl(3, [("a", Subspace(3, [[2, 0, 0]])), ("b", Subspace(3, [[0, 3, 0]]))])
+    assert s == twin and hash(s) == hash(twin) and len({s, twin}) == 1
+    assert s != Snarl(3, [("b", Subspace(3, [[0, 1, 0]])), ("a", line)])
