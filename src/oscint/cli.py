@@ -52,8 +52,19 @@ def _validate(obj, schema, where: str) -> None:
         _fail(EXIT_INPUT, f"{where}: schema violation: {exc.message} at {exc.json_path}")
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(files) -> None:
+    """Write each (path, text) pair, creating its parent directory; exit 1
+    on an OSError."""
+    try:
+        for path, text in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    except OSError as exc:
+        _fail(EXIT_INPUT, f"cannot write output: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +191,8 @@ def cmd_resolve(snarl_json, seed, out_dir):
     record = records.make_record("resolve", inp, output, seeds, tolerance=0.0)
     if out_dir:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "resolution.json", output)
-        _write_json(out / f"record-{record['run_id'][:12]}.json", record)
+        _write([(out / "resolution.json", _json_text(output)),
+                (out / f"record-{record['run_id'][:12]}.json", _json_text(record))])
     click.echo(json.dumps({
         "steps": len(res["steps"]),
         "terminal_entries": len(res["chain"][-1]["subspaces"]),
@@ -206,8 +216,9 @@ def cmd_degeneracy(poly_json, maps_json, degree, out_path):
                          {"poly": poly_json, "maps": maps_json}.get)
     record = records.make_record("degeneracy", inp, output, seeds=[], tolerance=0.0)
     if out_path:
-        _write_json(Path(out_path), output)
-        _write_json(Path(out_path).with_suffix(".record.json"), record)
+        out = Path(out_path)
+        _write([(out, _json_text(output)),
+                (out.with_suffix(".record.json"), _json_text(record))])
     click.echo(json.dumps({"is_degenerate": output["is_degenerate"],
                            "quotient_norm": output["quotient_norm"],
                            "run_id": record["run_id"]}, indent=2))
@@ -222,15 +233,18 @@ def cmd_degeneracy(poly_json, maps_json, degree, out_path):
               help="Exit 0 even if some rows hit the node cap.")
 def cmd_sweep(runspec_json, out_csv, adversarial, allow_unconverged):
     """Evaluate |I(lambda P)| over a lambda grid and fit the decay rate."""
+    out = Path(out_csv)
+    if out.suffix == ".json":
+        _fail(EXIT_INPUT, f"--out {out_csv}: the sweep's JSON output would "
+                          f"overwrite a CSV path ending in .json")
     inp = {"runspec": _load_json(runspec_json), "adversarial": adversarial}
     output, result = _execute("sweep", inp, {"runspec": runspec_json}.get)
     record = records.make_record("sweep", inp, output,
                                  seeds=[int(inp["runspec"].get("seed", 0))],
                                  tolerance=1e-9)
-    out = Path(out_csv)
-    out.write_text(sweep_to_csv(result))
-    _write_json(out.with_suffix(".json"), output)
-    _write_json(out.with_suffix(".record.json"), record)
+    _write([(out, sweep_to_csv(result)),
+            (out.with_suffix(".json"), _json_text(output)),
+            (out.with_suffix(".record.json"), _json_text(record))])
     click.echo(json.dumps({"rows": len(result.rows), "fit": output["fit"],
                            "run_id": record["run_id"]}, indent=2))
     failed = [r for r in result.rows if r.error]

@@ -9,7 +9,7 @@ representations, and sums, intersections and annihilators run on Python
 ints through one fraction-free Gauss-Jordan reduction.  factor records
 the steps that solve replays from that same reduction, run on the matrix
 rows scaled to integers.  Fractions appear only at the boundaries: Mat
-entries, Subspace.basis (the reduced rows the JSON wire formats and the
+entries, Subspace.basis (the reduced rows rref, basis_matrix and the
 polynomial layer read), and the Factorisation that solve replays.
 """
 

@@ -1,8 +1,9 @@
 """JSON Schemas for every file format the CLI reads or writes, and their
-validation: a check compiled from each schema accepts what is certainly
-valid, and jsonschema runs only on an input that check declines, to find
-the error.  The schemas are constants; the test suite checks them against
-their metaschema, so no run checks them."""
+validation: a predicate that reads the schema directly accepts what is
+certainly valid, and jsonschema runs only on an input it declines, to
+find the error.  Nothing is compiled or cached per schema.  The schemas
+are constants; the test suite checks them against their metaschema, so
+no run checks them."""
 
 import math
 import re
@@ -163,20 +164,13 @@ RECORD_SCHEMA = {
 }
 
 
-_ACCEPTORS: dict[int, tuple] = {}  # id(schema) -> (acceptor, schema); keeps schema alive
-
-
 def validate(obj, schema) -> None:
     """Raise the best-matching jsonschema.ValidationError if obj does not
     match schema, as jsonschema.validate does.
 
-    The acceptor compiled from the schema (on first use, then reused)
-    decides: obj is valid when it accepts.  Only when it declines is
-    jsonschema imported, and it raises the error it finds, if any."""
-    if id(schema) not in _ACCEPTORS:
-        _ACCEPTORS[id(schema)] = (_acceptor(schema), schema)
-    accept, _ = _ACCEPTORS[id(schema)]
-    if accept(obj):
+    _accepts decides: obj is valid when it accepts.  Only when it declines
+    is jsonschema imported, and it raises the error it finds, if any."""
+    if _accepts(schema, obj):
         return
     import jsonschema
 
@@ -197,10 +191,6 @@ def validate(obj, schema) -> None:
 # metaschema.
 
 
-def _decline(x) -> bool:
-    return False
-
-
 def _is_number(x) -> bool:
     return type(x) is int or (type(x) is float and math.isfinite(x))
 
@@ -216,82 +206,56 @@ _TYPES = {
 }
 
 
-def _both(first, second):
-    return lambda x: first(x) and second(x)
-
-
-def _either(first, second):
-    return lambda x: first(x) or second(x)
+def _accepts(schema, x) -> bool:
+    """The acceptor: True if x meets each keyword of schema in turn."""
+    if not isinstance(schema, dict) or not schema:
+        return False
+    for key, value in schema.items():
+        if key == "type":
+            if not (_TYPES[value](x) if isinstance(value, str)
+                    else any(_TYPES[name](x) for name in value)):
+                return False
+        elif key == "pattern":
+            if type(x) is not str or re.search(value, x) is None:
+                return False
+        elif key == "anyOf":
+            for sub in value:
+                if _accepts(sub, x):
+                    break
+            else:
+                return False
+        elif key == "items":
+            if type(x) is not list:
+                return False
+            for item in x:
+                if not _accepts(value, item):
+                    return False
+        elif key == "properties":
+            if type(x) is not dict:
+                return False
+            for name, sub in value.items():
+                if name in x and not _accepts(sub, x[name]):
+                    return False
+        elif key == "required":
+            if type(x) is not dict:
+                return False
+            for name in value:
+                if name not in x:
+                    return False
+        elif key == "minimum":
+            if not (_is_number(x) and x >= value):
+                return False
+        elif key == "minItems":
+            if type(x) is not list or len(x) < value:
+                return False
+        elif key == "enum":
+            if type(x) is not str or x not in value or not all(
+                    type(v) is str for v in value):
+                return False
+        else:
+            return False
+    return True
 
 
 def _acceptor(schema):
-    """The acceptor compiled from schema: the conjunction of one check per
-    keyword, or _decline if a keyword is not one it decides."""
-    if not isinstance(schema, dict) or not schema:
-        return _decline
-    checks = []
-    for key, value in schema.items():
-        check = _KEYWORDS[key](value) if key in _KEYWORDS else None
-        if check is None:
-            return _decline
-        checks.append(check)
-    accept = checks[0]
-    for check in checks[1:]:
-        accept = _both(accept, check)
-    return accept
-
-
-def _type(names):
-    names = [names] if isinstance(names, str) else names
-    accept = _TYPES[names[0]]
-    for name in names[1:]:
-        accept = _either(accept, _TYPES[name])
-    return accept
-
-
-def _required(keys):
-    keys = tuple(keys)
-    return lambda x: type(x) is dict and all(key in x for key in keys)
-
-
-def _properties(props):
-    subs = tuple((key, _acceptor(sub)) for key, sub in props.items())
-    return lambda x: type(x) is dict and all(
-        accept(x[key]) for key, accept in subs if key in x)
-
-
-def _items(sub):
-    accept = _acceptor(sub)
-    return lambda x: type(x) is list and all(map(accept, x))
-
-
-def _any_of(subs):
-    accept = _acceptor(subs[0])
-    for sub in subs[1:]:
-        accept = _either(accept, _acceptor(sub))
-    return accept
-
-
-def _pattern(regex):
-    search = re.compile(regex).search
-    return lambda x: type(x) is str and search(x) is not None
-
-
-def _minimum(bound):
-    return lambda x: _is_number(x) and x >= bound
-
-
-def _min_items(count):
-    return lambda x: type(x) is list and len(x) >= count
-
-
-def _enum(values):
-    if not all(type(value) is str for value in values):
-        return None
-    values = frozenset(values)
-    return lambda x: type(x) is str and x in values
-
-
-_KEYWORDS = {"type": _type, "required": _required, "properties": _properties,
-             "items": _items, "anyOf": _any_of, "pattern": _pattern,
-             "minimum": _minimum, "minItems": _min_items, "enum": _enum}
+    return lambda x: _accepts(schema, x)

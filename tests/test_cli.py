@@ -484,6 +484,51 @@ def test_sweep_node_cap_exit_3_and_allow_flag(runner, tmp_path):
     assert res2.exit_code == 0, res2.output
 
 
+# --- --out paths -------------------------------------------------------------
+
+SWEEP_ARGS = ["sweep", str(FIXTURES / "demo-sweep.json")]
+DEGENERACY_ARGS = ["degeneracy", str(FIXTURES / "antisym-phase.json"),
+                   str(FIXTURES / "cltt-maps.json")]
+
+
+@pytest.mark.parametrize("args, out, written", [
+    (SWEEP_ARGS, "missing/dir/x.csv", ["x.csv", "x.json", "x.record.json"]),
+    (DEGENERACY_ARGS, "missing/d.json", ["d.json", "d.record.json"]),
+], ids=["sweep", "degeneracy"])
+def test_out_creates_missing_directories(runner, tmp_path, args, out, written):
+    res = runner.invoke(main, args + ["--out", str(tmp_path / out)])
+    assert res.exit_code == 0, all_output(res)
+    assert sorted(p.name for p in (tmp_path / out).parent.iterdir()) == written
+
+
+@pytest.mark.parametrize("args, out", [
+    (["resolve", str(FIXTURES / "cltt-example.json")], "file/out"),
+    (SWEEP_ARGS, "file/x.csv"),
+    (DEGENERACY_ARGS, "file/d.json"),
+], ids=["resolve", "sweep", "degeneracy"])
+def test_out_under_a_regular_file_exit_1(runner, tmp_path, args, out):
+    (tmp_path / "file").write_text("")
+    res = runner.invoke(main, args + ["--out", str(tmp_path / out)])
+    assert res.exit_code == 1, all_output(res)
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+
+
+@pytest.mark.parametrize("name, adversarial", [("res.json", False), ("x.record.json", True)])
+def test_sweep_out_ending_in_json_exit_1_before_any_work(runner, tmp_path, monkeypatch,
+                                                         name, adversarial):
+    # the JSON output would be written to the CSV's own path
+    monkeypatch.setattr(cli, "is_degenerate", lambda *args, **kw: pytest.fail("exact work"))
+    monkeypatch.setattr(quadrature, "_refine", lambda *args: pytest.fail("quadrature"))
+    spec = "adversarial-sweep.json" if adversarial else "demo-sweep.json"
+    res = runner.invoke(main, ["sweep", str(FIXTURES / spec), "--out", str(tmp_path / name)]
+                        + ["--adversarial"] * adversarial)
+    assert res.exit_code == 1, all_output(res)
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert not any(tmp_path.iterdir())
+
+
 # --- replay ----------------------------------------------------------------
 
 def _make_resolve_record(runner, tmp_path):

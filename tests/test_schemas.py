@@ -1,6 +1,8 @@
 import copy
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import jsonschema
@@ -62,10 +64,22 @@ def test_validate_never_checks_the_schema(monkeypatch):
         schemas.validate({"vars": 0, "terms": []}, schema)
 
 
+def test_validate_keeps_no_reference_to_the_schema():
+    class Schema(dict):  # a plain dict cannot be weakly referenced
+        pass
+
+    schema = Schema(copy.deepcopy(schemas.POLY_SCHEMA))
+    ref = weakref.ref(schema)
+    schemas.validate({"vars": 1, "terms": []}, schema)
+    del schema
+    gc.collect()
+    assert ref() is None
+
+
 # --- the acceptor in front of jsonschema ------------------------------------
 #
-# schemas.validate returns at once when the acceptor compiled from the
-# schema accepts, so the acceptor must never accept what jsonschema rejects.
+# schemas.validate returns at once when the acceptor accepts, so the
+# acceptor must never accept what jsonschema rejects.
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # every schema schemas.validate is given: the *_SCHEMA ones and the field
