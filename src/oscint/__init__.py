@@ -1,23 +1,7 @@
 """Exact subspace-arrangement algebra, transverse splittings and
 resolutions, polynomial nondegeneracy with quotient norms, and numerical
-decay measurement for multilinear oscillatory integral forms."""
+decay measurement for multilinear oscillatory integral forms.
 
-from .linalg import (GenericityFailure, Mat, Subspace, constraint_matrix,
-                     intersect, kernel, random_subspace, rank, rref, solve,
-                     subspace_sum)
-from .snarl import (NonOneDimensional, Snarl, SplitWitness,
-                    check_strong_hypothesis, check_weak_hypothesis,
-                    codim_profile, intersect_indexed, is_onedim_general_position,
-                    is_splitting, is_transverse_splitting)
-from .resolution import (CannotPartition, NotSplittable, Resolution,
-                         SplittingStep, balance_partition,
-                         construct_transverse_splitting, derived_projections,
-                         resolve, verify_resolution)
-from .poly import (DegeneracyReport, MultiPoly, compose, compose_affine,
-                   degenerate_basis, is_degenerate, monomials, nd_norm,
-                   slice_subtract)
-from .quadrature import (BumpSpec, DecaySweep, InsufficientTail,
-                         NodeCapExceeded, QuadConfig, adversarial_functions,
-                         eval_integral, fit_decay, sweep)
+The root re-exports nothing: each name is imported from its module."""
 
 __version__ = "0.1.0"

@@ -20,8 +20,6 @@ import click
 from . import records, schemas
 from .linalg import GenericityFailure, finite_float
 from .poly import is_degenerate, mat_from_json, poly_from_json, report_to_json
-from .quadrature import (BumpSpec, InsufficientTail, QuadConfig, fit_decay, sweep,
-                         sweep_to_csv, sweep_to_json, truncated_axes)
 from .resolution import resolution_to_json, resolve, verify_resolution
 from .snarl import check_weak_hypothesis, snarl_from_json
 
@@ -101,6 +99,8 @@ def _run_degeneracy(inp: dict):
 
 
 def _run_sweep(inp: dict):
+    from .quadrature import (BumpSpec, InsufficientTail, QuadConfig, fit_decay,
+                             sweep, sweep_to_json, truncated_axes)
     spec = inp["runspec"]
     p = poly_from_json(spec["phase"])
     pis, labels = _maps_from_json(spec["maps"])
@@ -233,6 +233,7 @@ def cmd_degeneracy(poly_json, maps_json, degree, out_path):
               help="Exit 0 even if some rows hit the node cap.")
 def cmd_sweep(runspec_json, out_csv, adversarial, allow_unconverged):
     """Evaluate |I(lambda P)| over a lambda grid and fit the decay rate."""
+    from .quadrature import sweep_to_csv
     out = Path(out_csv)
     if out.suffix == ".json":
         _fail(EXIT_INPUT, f"--out {out_csv}: the sweep's JSON output would "
@@ -296,12 +297,14 @@ def _compare_sweeps(old: dict, new: dict, tol: float) -> list[str]:
 @main.command("replay")
 @click.argument("record_json", type=click.Path(exists=True, dir_okay=False))
 def cmd_replay(record_json):
-    """Re-execute a recorded run and diff it against the stored output."""
+    """Re-execute a recorded run, diff it against the stored output, and
+    check that the run_id is the hash of the record's body."""
     record = _load_json(record_json)
     _validate(record, schemas.RECORD_SCHEMA, record_json)
     if not math.isfinite(record["tolerance"]):
         _fail(EXIT_INPUT, f"{record_json}: tolerance {record['tolerance']} is not finite")
-    if record["tool_version"] != records.TOOL_VERSION:
+    same_version = record["tool_version"] == records.TOOL_VERSION
+    if not same_version:
         click.echo(f"warning: record from version {record['tool_version']}, "
                    f"this is {records.TOOL_VERSION}; best-effort replay", err=True)
     command = record["command"]
@@ -318,6 +321,8 @@ def cmd_replay(record_json):
         click.echo(json.dumps({"mismatch": {"recorded": record["output"],
                                             "replayed": new_out}}, indent=2))
         sys.exit(EXIT_REPLAY)
+    if same_version and records.run_id(record) != record["run_id"]:
+        _fail(EXIT_REPLAY, f"{record_json}: run_id is not the hash of the record's body")
     click.echo("replay ok")
 
 

@@ -7,7 +7,9 @@ _pullbacks, which holds e∘pi for each monomial e: compose, compose_affine,
 the degeneracy columns and the one certificate check all read it.
 
 The degenerate/nondegenerate boolean is always decided by exact rank over
-Q; floating point is used only for the numeric value of the quotient norm.
+Q; floating point is used only for the numeric value of the quotient norm
+(with the float copy of the degeneracy matrix) and in evaluate_array, and
+only those import numpy.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from types import MappingProxyType
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .linalg import Mat, factor, finite_float, frac_str, rank, rref
 from .resolution import SplittingStep
@@ -119,12 +120,13 @@ class MultiPoly:
             total += v
         return total
 
-    def evaluate_array(self, points) -> np.ndarray:
+    def evaluate_array(self, points):
         """Vectorized float evaluation at points given either as one array
         of shape (..., num_vars) or as num_vars arrays, one per variable,
         that broadcast together.  Each term is evaluated on the broadcast
         shape of the variables it uses; the result has the broadcast shape
         of all of them."""
+        import numpy as np
         xs = np.moveaxis(points, -1, 0) if isinstance(points, np.ndarray) else points
         out = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in xs)))
         powers: dict[tuple[int, int], np.ndarray] = {}
@@ -157,21 +159,9 @@ def _grlex_key(exps: tuple[int, ...]):
 
 def monomials(num_vars: int, max_degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of total degree <= max_degree, graded-lex order."""
-    if num_vars == 0:
-        return [()]
-
-    def exact_degree(d: int, slots: int):
-        if slots == 1:
-            yield (d,)
-            return
-        for e in range(d + 1):
-            for rest in exact_degree(d - e, slots - 1):
-                yield (e,) + rest
-
-    raw: list[tuple[int, ...]] = []
-    for d in range(max_degree + 1):
-        raw.extend(sorted(exact_degree(d, num_vars)))
-    return raw
+    return [e for d in range(max_degree + 1)
+            for e in sorted(tuple(c.count(i) for i in range(num_vars))
+                            for c in combinations_with_replacement(range(num_vars), d))]
 
 
 @lru_cache(maxsize=256)
@@ -266,6 +256,7 @@ def _degenerate_columns(pis: tuple[Mat, ...], max_degree: int):
         for exps, v in pullback:
             rows[index[exps]][col] = v
     A = Mat(rows)
+    import numpy as np
     try:
         Af = np.array([[float(x) for x in row] for row in A.entries])
     except OverflowError:  # the quotient norm, its only reader, refuses it
@@ -316,18 +307,20 @@ def is_degenerate(p: MultiPoly, pis: Sequence[Mat], max_degree: int | None = Non
         _check_certificate(p, ((c, pb) for c, pb in zip(sol, pullbacks) if c != 0))
         cert_polys = [MultiPoly(pi.rows, t) for pi, t in zip(pis, cert_terms)]
         return DegeneracyReport(True, list(zip(labels, cert_polys)), 0.0, {})
-    resid = _float_residual(Af, b)
-    qnorm = float(np.linalg.norm(resid))
+    resid, qnorm = _float_residual(Af, b)
     residual = {e: float(r) for e, r in zip(row_basis, resid) if abs(r) > 0}
     return DegeneracyReport(False, None, qnorm, residual)
 
 
-def _float_residual(Af: np.ndarray, b: Sequence[Fraction]) -> np.ndarray:
+def _float_residual(Af, b: Sequence[Fraction]):
+    """b's least-squares residual off the columns of Af, and its norm."""
+    import numpy as np
     bf = np.array([finite_float(x, "phase coefficient") for x in b])
     if not np.isfinite(Af).all():
         raise ValueError("matrix entry is too large for a float")
     coeffs, *_ = np.linalg.lstsq(Af, bf, rcond=None)
-    return bf - Af @ coeffs
+    resid = bf - Af @ coeffs
+    return resid, float(np.linalg.norm(resid))
 
 
 def nd_norm(p: MultiPoly, pis: Sequence[Mat], max_degree: int | None = None) -> float:

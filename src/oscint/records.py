@@ -8,7 +8,9 @@ import hashlib
 import json
 from datetime import datetime, timezone
 
-TOOL_VERSION = "0.1.0"
+from . import __version__ as TOOL_VERSION
+
+BODY_FIELDS = ("command", "input", "output", "seeds", "tolerance", "tool_version")
 
 
 def canonical_json(obj) -> str:
@@ -16,8 +18,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def run_id(record: dict) -> str:
+    """sha256 of the canonical JSON of the record's body fields."""
+    body = {key: record[key] for key in BODY_FIELDS}
+    return hashlib.sha256(canonical_json(body).encode()).hexdigest()
+
+
 def make_record(command: str, input_obj, output_obj, seeds, tolerance: float) -> dict:
-    body = {
+    record = {
         "command": command,
         "input": input_obj,
         "output": output_obj,
@@ -25,8 +33,6 @@ def make_record(command: str, input_obj, output_obj, seeds, tolerance: float) ->
         "tolerance": tolerance,
         "tool_version": TOOL_VERSION,
     }
-    run_id = hashlib.sha256(canonical_json(body).encode()).hexdigest()
-    record = dict(body)
-    record["run_id"] = run_id
+    record["run_id"] = run_id(record)
     record["timestamp"] = datetime.now(timezone.utc).isoformat()
     return record

@@ -691,6 +691,32 @@ def test_replay_genericity_failure_exit_4(runner, tmp_path):
     assert "replay execution failed: hypothesis violated" in all_output(res)
 
 
+def _raised_tolerance(rec):
+    rec["tolerance"] = 1e9
+    for row in rec["output"]["rows"]:
+        row["abs"] *= 3
+    rec["output"]["fit"]["rho"] += 5
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("adversarial-sweep", _raised_tolerance),
+    ("antisym-phase-degree2", lambda rec: rec.update(seeds=[1])),
+    ("cltt-example-seed0", lambda rec: rec.update(seeds=[7] + rec["seeds"][1:], tolerance=0.5)),
+], ids=["sweep-tolerance", "degeneracy-seeds", "resolve-seeds-tolerance"])
+def test_replay_edited_body_exit_4(runner, tmp_path, name, edit):
+    # each edit leaves the rerun agreeing with the recorded output, but the
+    # run_id no longer hashes the record's body
+    rec = read_json(RECORDS / f"{name}.record.json")
+    edit(rec)
+    path = tmp_path / "edited.json"
+    write_json(path, rec)
+    res = runner.invoke(main, ["replay", str(path)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 4, res.output
+    assert res.stdout == ""
+    assert res.stderr == f"error: {path}: run_id is not the hash of the record's body\n"
+
+
 def test_replay_version_mismatch_warns(runner, tmp_path):
     rec_path = _make_resolve_record(runner, tmp_path)
     rec = read_json(rec_path)
@@ -796,6 +822,31 @@ def test_valid_runs_never_import_jsonschema(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count('"run_id"') == 3
+    assert proc.stdout.count("replay ok") == 2
+
+
+def test_exact_runs_never_import_numpy(tmp_path):
+    # resolve, the replay of the record it writes and the replay of the
+    # committed record of the same run use only the exact layer: none of
+    # them loads numpy or the quadrature module
+    committed = RECORDS / "cltt-example-seed3.record.json"
+    written = tmp_path / f"record-{read_json(committed)['run_id'][:12]}.json"
+    runs = [["resolve", str(FIXTURES / "cltt-example.json"), "--seed", "3",
+             "--out", str(tmp_path)],
+            ["replay", str(written)],
+            ["replay", str(committed)]]
+    script = ("import sys\nfrom oscint.cli import main\n"
+              f"for args in {runs!r}:\n"
+              "    main(args, standalone_mode=False)\n"
+              "    assert 'numpy' not in sys.modules, args\n"
+              "    assert 'oscint.quadrature' not in sys.modules, args\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"run_id"') == 1
     assert proc.stdout.count("replay ok") == 2
 
 

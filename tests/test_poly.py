@@ -47,6 +47,30 @@ def test_monomials_graded():
     assert len(set(ms)) == len(ms)
 
 
+def _recursive_monomials(num_vars, max_degree):
+    # the recursive enumeration monomials once used: each exact degree's
+    # tuples built slot by slot, then sorted
+    if num_vars == 0:
+        return [()]
+
+    def exact_degree(d, slots):
+        if slots == 1:
+            yield (d,)
+            return
+        for e in range(d + 1):
+            for rest in exact_degree(d - e, slots - 1):
+                yield (e,) + rest
+
+    return [e for d in range(max_degree + 1) for e in sorted(exact_degree(d, num_vars))]
+
+
+@pytest.mark.parametrize("num_vars", range(8))
+def test_monomials_match_the_recursive_enumeration(num_vars):
+    # every pullback table and degeneracy row is indexed in this order
+    for max_degree in range(6):
+        assert monomials(num_vars, max_degree) == _recursive_monomials(num_vars, max_degree)
+
+
 # --- arithmetic ------------------------------------------------------------
 
 def test_poly_arithmetic_basics():
